@@ -179,10 +179,10 @@ def evaluate(expr: DenotExpr, g: TypedGraph, depth: int = DEFAULT_UNROLL_DEPTH) 
         return out
     if isinstance(expr, IfExpr):
         entry = sem_node(expr.cond, g)  # {(g,g)} when inapplicable
-        branch = expr.then if find_matches(expr.cond, g) else expr.orelse
+        branch = expr.then if find_matches(expr.cond, g, first=True) else expr.orelse
         return _compose(entry, branch, depth)
     if isinstance(expr, WhileExpr):
-        if not find_matches(expr.cond, g):
+        if not find_matches(expr.cond, g, first=True):
             out = SemSet()
             out.add(g, g)
             return out
@@ -281,7 +281,7 @@ def cross_check(
                     "semantics aborts, the denotational semantics passes the "
                     "graph through"
                 )
-            elif find_matches(rule, g):
+            elif find_matches(rule, g, first=True):
                 v.divergences.append(
                     f"conditional {ts.node!r} failed only under its pinned "
                     "bindings; the denotational semantics, which has no "

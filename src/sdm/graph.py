@@ -145,6 +145,7 @@ class TypedGraph:
         self.nodes = dict(nodes)
         self.edges = dict(edges)
         self.revision = next(_revision_counter)
+        self._adjacency: Optional[tuple[dict, dict]] = None
         overlap = self.nodes.keys() & self.edges.keys()
         if overlap:
             raise GraphError(f"ids used for both nodes and edges: {sorted(overlap)}")
@@ -158,11 +159,25 @@ class TypedGraph:
     def edge_ids(self) -> list[str]:
         return sorted(self.edges)
 
+    def _index(self) -> tuple[dict, dict]:
+        # built on the first adjacency query; valid because the graph
+        # never changes after construction
+        if self._adjacency is None:
+            outs: dict[str, list[tuple[str, Edge]]] = {}
+            ins: dict[str, list[tuple[str, Edge]]] = {}
+            for eid, e in sorted(self.edges.items()):
+                outs.setdefault(e.src, []).append((eid, e))
+                ins.setdefault(e.trg, []).append((eid, e))
+            self._adjacency = (outs, ins)
+        return self._adjacency
+
     def out_edges(self, node: str) -> list[tuple[str, Edge]]:
-        return [(eid, e) for eid, e in sorted(self.edges.items()) if e.src == node]
+        """Edges leaving node, in edge-id order. Callers must not mutate it."""
+        return self._index()[0].get(node, [])
 
     def in_edges(self, node: str) -> list[tuple[str, Edge]]:
-        return [(eid, e) for eid, e in sorted(self.edges.items()) if e.trg == node]
+        """Edges entering node, in edge-id order. Callers must not mutate it."""
+        return self._index()[1].get(node, [])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TypedGraph):

@@ -185,6 +185,7 @@ class Configuration:
         self.instances: dict[str, ScopeInstance] = {}
         self.current = ""
         self.var_models: dict[str, str] = {}  # Variable node -> model node
+        self._var_of: dict[str, str] = {}  # the inverse of var_models
         self.invocations: dict[str, InvocationRec] = {}
         self.trace: list[TraceStep] = []
         self.steps_taken = 0
@@ -204,11 +205,11 @@ class Configuration:
         return self.var_models[rec.var_node]
 
     def _variable_for(self, model_node: str) -> str:
-        for var, target in self.var_models.items():
-            if target == model_node:
-                return var
-        var = self._fresh("v")
-        self.var_models[var] = model_node
+        var = self._var_of.get(model_node)
+        if var is None:
+            var = self._fresh("v")
+            self.var_models[var] = model_node
+            self._var_of[model_node] = var
         return var
 
     def _bind(self, instance: ScopeInstance, name: str, model_node: str) -> None:
@@ -388,7 +389,10 @@ def invoke_pattern(c: Configuration) -> PatternInvocationResult:
         if model_node not in c.model.nodes:
             return PatternInvocationResult(matched=False)  # dangling binding
         partial[lhs_node] = model_node
-    matches = find_matches(pattern.rule, c.model, partial=partial)
+    # lex order uses only the head of the match list
+    matches = find_matches(
+        pattern.rule, c.model, partial=partial, first=c.match_order == "lex"
+    )
     if not matches:
         return PatternInvocationResult(matched=False)
     if c.match_order == "random":
@@ -569,7 +573,9 @@ def replay_trace_file(
             l: by_name[name] for l, name in pattern.lhs_names.items()
         }
         stale = any(h not in g.nodes for h in partial.values())
-        matches = [] if stale else find_matches(pattern.rule, g, partial=partial)
+        matches = (
+            [] if stale else find_matches(pattern.rule, g, partial=partial, first=True)
+        )
         if not matches:
             raise GraphError(
                 f"trace replay: recorded match at step {rec['step']} "

@@ -139,10 +139,14 @@ class LanguageResult:
         )
 
 
-def _parallel_count(g: TypedGraph, src: str, trg: str, etype: str) -> int:
-    return sum(
-        1 for _, e in g.out_edges(src) if e.trg == trg and e.type == etype
-    )
+def _parallel_edges(g: TypedGraph, src: str, trg: str, etype: str) -> list[str]:
+    """Ids of the etype edges src -> trg in id order, scanning the shorter side."""
+    outs, ins = g.out_edges(src), g.in_edges(trg)
+    return [
+        eid
+        for eid, e in (outs if len(outs) <= len(ins) else ins)
+        if e.src == src and e.trg == trg and e.type == etype
+    ]
 
 
 def _enumerate_monos(
@@ -156,56 +160,71 @@ def _enumerate_monos(
 
     Node images may specialize the pattern's node type via inheritance.
     Order is lexicographic over host ids taken in sorted pattern-id
-    order, nodes before edges.
+    order, nodes before edges. Forced nodes are bound first, which keeps
+    that order since each has a single image. Every other node draws its
+    candidates from the host neighbours of its bound pattern neighbours,
+    and a new binding is checked only against the pattern edges that
+    join it to nodes bound before it.
     """
+    for pn in forced_nodes:
+        if pn not in pattern.nodes:
+            raise GraphError(f"forced assignment names unknown pattern node {pn!r}")
     pnodes = pattern.node_ids()
     pedges = pattern.edge_ids()
     forced_edges = forced_edges or {}
+    pinned = [n for n in pnodes if n in forced_nodes]
+    free = [n for n in pnodes if n not in forced_nodes]
+    rank = {n: i for i, n in enumerate(pinned + free)}
 
-    def node_ok(pn: str, hn: str, assigned: dict[str, str]) -> bool:
+    # per node: how many edges of each (src, trg, type) it needs towards
+    # itself and the nodes bound before it
+    needs: dict[str, dict[tuple[str, str, str], int]] = {n: {} for n in pnodes}
+    for e in pattern.edges.values():
+        later = e.src if rank[e.src] >= rank[e.trg] else e.trg
+        key = (e.src, e.trg, e.type)
+        needs[later][key] = needs[later].get(key, 0) + 1
+
+    assigned: dict[str, str] = {}
+
+    def node_ok(pn: str, hn: str) -> bool:
         if hn not in host.nodes:
             return False
         if not host.tg.conforms(host.nodes[hn], pattern.nodes[pn]):
             return False
         if injective and hn in assigned.values():
             return False
-        # every pattern edge between assigned endpoints needs host capacity
-        trial = dict(assigned)
-        trial[pn] = hn
-        for a in trial:
-            for b in trial:
-                for etype in {
-                    e.type for _, e in pattern.out_edges(a) if e.trg == b
-                }:
-                    need = _parallel_count(pattern, a, b, etype)
-                    have = _parallel_count(host, trial[a], trial[b], etype)
-                    if injective:
-                        if have < need:
-                            return False
-                    elif need > 0 and have == 0:
-                        return False
+        for (a, b, etype), need in needs[pn].items():
+            src = hn if a == pn else assigned[a]
+            trg = hn if b == pn else assigned[b]
+            if len(_parallel_edges(host, src, trg, etype)) < (need if injective else 1):
+                return False
         return True
 
-    for pn, hn in forced_nodes.items():
-        if pn not in pattern.nodes:
-            raise GraphError(f"forced assignment names unknown pattern node {pn!r}")
+    def node_candidates(pn: str) -> list[str]:
+        found: Optional[set[str]] = None
+        for a, b, etype in needs[pn]:
+            if a == b:
+                continue
+            if b == pn:
+                adjacent = host.out_edges(assigned[a])
+                ends = {e.trg for _, e in adjacent if e.type == etype}
+            else:
+                adjacent = host.in_edges(assigned[b])
+                ends = {e.src for _, e in adjacent if e.type == etype}
+            found = ends if found is None else found & ends
+            if not found:
+                return []
+        return host.node_ids() if found is None else sorted(found)
 
-    def assign_nodes(i: int, assigned: dict[str, str]) -> Iterator[dict[str, str]]:
-        if i == len(pnodes):
-            yield dict(assigned)
+    def assign_nodes(i: int) -> Iterator[dict[str, str]]:
+        if i == len(free):
+            yield {n: assigned[n] for n in pnodes}
             return
-        pn = pnodes[i]
-        if pn in forced_nodes:
-            hn = forced_nodes[pn]
-            if node_ok(pn, hn, {k: v for k, v in assigned.items() if k != pn}):
+        pn = free[i]
+        for hn in node_candidates(pn):
+            if node_ok(pn, hn):
                 assigned[pn] = hn
-                yield from assign_nodes(i + 1, assigned)
-                del assigned[pn]
-            return
-        for hn in host.node_ids():
-            if node_ok(pn, hn, assigned):
-                assigned[pn] = hn
-                yield from assign_nodes(i + 1, assigned)
+                yield from assign_nodes(i + 1)
                 del assigned[pn]
 
     def assign_edges(
@@ -220,11 +239,7 @@ def _enumerate_monos(
         if pe in forced_edges:
             candidates = [forced_edges[pe]]
         else:
-            candidates = [
-                hid
-                for hid, he in host.out_edges(want_src)
-                if he.trg == want_trg and he.type == e.type
-            ]
+            candidates = _parallel_edges(host, want_src, want_trg, e.type)
         for hid in candidates:
             if injective and hid in used:
                 continue
@@ -237,7 +252,11 @@ def _enumerate_monos(
             del emap[pe]
             used.discard(hid)
 
-    for nodes in assign_nodes(0, {}):
+    for pn in pinned:
+        if not node_ok(pn, forced_nodes[pn]):
+            return
+        assigned[pn] = forced_nodes[pn]
+    for nodes in assign_nodes(0):
         for emap in assign_edges(nodes, 0, {}, set()):
             yield nodes, emap
 
@@ -270,11 +289,13 @@ def find_matches(
     host: TypedGraph,
     partial: Optional[dict[str, str]] = None,
     nac_injective: bool = True,
+    first: bool = False,
 ) -> list[Match]:
     """All NAC-respecting total injective matches, lexicographically ordered.
 
     `partial` pins lhs nodes to host nodes ahead of the search; it must
-    be injective and type-consistent.
+    be injective and type-consistent. With `first`, the search stops at
+    the head of that order and returns at most one match.
     """
     if rule.lhs.tg != host.tg:
         raise GraphError("rule and host must share one type graph")
@@ -291,20 +312,16 @@ def find_matches(
                 f"partial assignment {ln!r} -> {hn!r} is type-inconsistent"
             )
 
-    lhs_nodes = rule.lhs.node_ids()
-    lhs_edges = rule.lhs.edge_ids()
+    # the search yields in lexicographic order already, so the list needs
+    # no sort and its head is the first NAC-respecting occurrence
     matches = []
     for node_map, edge_map in _enumerate_monos(rule.lhs, host, partial):
         morphism = PartialMorphism(rule.lhs, host, node_map, edge_map)
         match = Match(rule, morphism, host.revision)
         if all(check_nac(nac, match, injective=nac_injective) for nac in rule.nacs):
             matches.append(match)
-    matches.sort(
-        key=lambda m: (
-            tuple(m.node_map[n] for n in lhs_nodes),
-            tuple(m.edge_map[e] for e in lhs_edges),
-        )
-    )
+            if first:
+                break
     return matches
 
 

@@ -423,7 +423,7 @@ def replay_derivation(validation: CfgValidation) -> TypedGraph:
     for step in validation.derivation:
         rule = by_name[step.rule]
         anchors = {"a": rename[step.a], "b": rename[step.b]}
-        matches = find_matches(rule, g, partial=anchors)
+        matches = find_matches(rule, g, partial=anchors, first=True)
         if not matches:
             raise GraphError(f"derivation step {step} does not apply")
         out = apply_rule(rule, matches[0], g)
@@ -552,9 +552,15 @@ def classify_nodes(g: TypedGraph) -> NodeClassification:
                 FAILURE: {m for m in r_fail if g.nodes[m] == STOP_NODE},
             }
         else:
-            candidates = sorted(
-                j for j in common if not (preds[j] - {n}) & common
-            )
+            # the join is the common node both branches reach before any
+            # other common node; a loop around the conditional may make
+            # the join's other predecessors common too
+            def entries(target: str) -> set[str]:
+                before = _reach(g, [target], common | {n})
+                after = {e.trg for m in before for _, e in g.out_edges(m)}
+                return ({target} | after) & common
+
+            candidates = sorted(entries(succ_target) & entries(fail_target))
             if len(candidates) != 1:
                 raise GraphError(f"no unique join node for conditional {n!r}")
             join = candidates[0]

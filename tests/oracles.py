@@ -2,14 +2,18 @@
 
 These deliberately share no code with the package: isomorphism by
 exhaustive bijection search, matching by exhaustive injective map
-enumeration, and rewriting by a naive delete-then-glue construction.
+enumeration, rewriting by a naive delete-then-glue construction, and the
+package's earlier backtracking matcher, which scans the sorted edge set
+for every adjacency query and sorts its full match list.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import Iterator, Optional
 
-from sdm.graph import Edge, TypedGraph
+from sdm.graph import Edge, GraphError, PartialMorphism, TypedGraph
+from sdm.rewrite import Match
 
 
 def brute_force_isomorphic(g: TypedGraph, h: TypedGraph) -> bool:
@@ -123,3 +127,155 @@ def naive_pushout(
             redge.type, where[redge.src], where[redge.trg]
         )
     return TypedGraph(host.tg, nodes, edges)
+
+
+def _sorted_out_edges(g: TypedGraph, node: str) -> list[tuple[str, Edge]]:
+    return [(eid, e) for eid, e in sorted(g.edges.items()) if e.src == node]
+
+
+def _reference_count(g: TypedGraph, src: str, trg: str, etype: str) -> int:
+    return sum(
+        1 for _, e in _sorted_out_edges(g, src) if e.trg == trg and e.type == etype
+    )
+
+
+def _reference_monos(
+    pattern: TypedGraph,
+    host: TypedGraph,
+    forced_nodes: dict[str, str],
+    forced_edges: Optional[dict[str, str]] = None,
+    injective: bool = True,
+) -> Iterator[tuple[dict[str, str], dict[str, str]]]:
+    """Backtracking over sorted pattern ids, trying every host node in turn
+    and re-checking every pair of assigned nodes for each candidate."""
+    pnodes = pattern.node_ids()
+    pedges = pattern.edge_ids()
+    forced_edges = forced_edges or {}
+
+    def node_ok(pn: str, hn: str, assigned: dict[str, str]) -> bool:
+        if hn not in host.nodes:
+            return False
+        if not host.tg.conforms(host.nodes[hn], pattern.nodes[pn]):
+            return False
+        if injective and hn in assigned.values():
+            return False
+        trial = dict(assigned)
+        trial[pn] = hn
+        for a in trial:
+            for b in trial:
+                for etype in {
+                    e.type for _, e in _sorted_out_edges(pattern, a) if e.trg == b
+                }:
+                    need = _reference_count(pattern, a, b, etype)
+                    have = _reference_count(host, trial[a], trial[b], etype)
+                    if injective:
+                        if have < need:
+                            return False
+                    elif need > 0 and have == 0:
+                        return False
+        return True
+
+    for pn in forced_nodes:
+        if pn not in pattern.nodes:
+            raise GraphError(f"forced assignment names unknown pattern node {pn!r}")
+
+    def assign_nodes(i: int, assigned: dict[str, str]) -> Iterator[dict[str, str]]:
+        if i == len(pnodes):
+            yield dict(assigned)
+            return
+        pn = pnodes[i]
+        if pn in forced_nodes:
+            hn = forced_nodes[pn]
+            if node_ok(pn, hn, {k: v for k, v in assigned.items() if k != pn}):
+                assigned[pn] = hn
+                yield from assign_nodes(i + 1, assigned)
+                del assigned[pn]
+            return
+        for hn in host.node_ids():
+            if node_ok(pn, hn, assigned):
+                assigned[pn] = hn
+                yield from assign_nodes(i + 1, assigned)
+                del assigned[pn]
+
+    def assign_edges(
+        nodes: dict[str, str], i: int, emap: dict[str, str], used: set[str]
+    ) -> Iterator[dict[str, str]]:
+        if i == len(pedges):
+            yield dict(emap)
+            return
+        pe = pedges[i]
+        e = pattern.edges[pe]
+        want_src, want_trg = nodes[e.src], nodes[e.trg]
+        if pe in forced_edges:
+            candidates = [forced_edges[pe]]
+        else:
+            candidates = [
+                hid
+                for hid, he in _sorted_out_edges(host, want_src)
+                if he.trg == want_trg and he.type == e.type
+            ]
+        for hid in candidates:
+            if injective and hid in used:
+                continue
+            he = host.edges.get(hid)
+            if he is None or he.src != want_src or he.trg != want_trg:
+                continue
+            emap[pe] = hid
+            used.add(hid)
+            yield from assign_edges(nodes, i + 1, emap, used)
+            del emap[pe]
+            used.discard(hid)
+
+    for nodes in assign_nodes(0, {}):
+        for emap in assign_edges(nodes, 0, {}, set()):
+            yield nodes, emap
+
+
+def reference_matches(
+    rule,
+    host: TypedGraph,
+    partial: Optional[dict[str, str]] = None,
+    nac_injective: bool = True,
+    first: bool = False,
+) -> list[Match]:
+    """Every NAC-respecting match, listed in full and then sorted
+    lexicographically; `first` keeps only the head of that list."""
+    if rule.lhs.tg != host.tg:
+        raise GraphError("rule and host must share one type graph")
+    partial = dict(partial or {})
+    if len(set(partial.values())) != len(partial):
+        raise GraphError("partial assignment must be injective")
+    for ln, hn in partial.items():
+        if ln not in rule.lhs.nodes or hn not in host.nodes:
+            raise GraphError(f"partial assignment {ln!r} -> {hn!r} is unknown")
+        if not host.tg.conforms(host.nodes[hn], rule.lhs.nodes[ln]):
+            raise GraphError(f"partial assignment {ln!r} -> {hn!r} is ill-typed")
+
+    def nac_ok(nac, match: Match) -> bool:
+        forced_nodes = {
+            nac.embedding.node_map[l]: match.node_map[l] for l in match.node_map
+        }
+        forced_edges = {
+            nac.embedding.edge_map[l]: match.edge_map[l] for l in match.edge_map
+        }
+        witnesses = _reference_monos(
+            nac.graph, host, forced_nodes, forced_edges, injective=nac_injective
+        )
+        return next(witnesses, None) is None
+
+    matches = []
+    for node_map, edge_map in _reference_monos(rule.lhs, host, partial):
+        match = Match(
+            rule, PartialMorphism(rule.lhs, host, node_map, edge_map), host.revision
+        )
+        if all(nac_ok(nac, match) for nac in rule.nacs):
+            matches.append(match)
+    lhs_nodes = rule.lhs.node_ids()
+    lhs_edges = rule.lhs.edge_ids()
+    matches.sort(
+        key=lambda m: (
+            tuple(m.node_map[n] for n in lhs_nodes),
+            tuple(m.edge_map[e] for e in lhs_edges),
+        )
+    )
+    return matches[:1] if first else matches

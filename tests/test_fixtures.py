@@ -18,6 +18,7 @@ DIAGRAMS = [
     "delete_next_object.diagram.json",
     "while_star.diagram.json",
     "join_policy.diagram.json",
+    "nested_loop_join.diagram.json",
 ]
 
 MODELS = [

@@ -7,8 +7,10 @@ import json
 
 import pytest
 
+import sdm.interp
+from sdm.cli import main
 from sdm.diagram import load_story_diagram
-from sdm.graph import GraphError, parse_graph, validate_typing
+from sdm.graph import GraphError, parse_graph, serialize_graph, validate_typing
 from sdm.interp import (
     CONSERVATIVE,
     ERROR,
@@ -17,6 +19,7 @@ from sdm.interp import (
     RUNNING,
     SEMANTIC_TYPE_GRAPH,
     TERMINATED,
+    Configuration,
     initialize,
     replay_trace,
     replay_trace_file,
@@ -26,6 +29,7 @@ from sdm.interp import (
 
 from .builders import FIXTURES, pattern_of, rule_of, seq_cfg, story_diagram
 from .conftest import zoo_tg
+from .oracles import reference_matches
 
 
 def load_diagram(name):
@@ -502,3 +506,122 @@ def test_bound_mark_without_binding_is_an_internal_error(minimal):
     minimal.patterns["story"] = broken
     with pytest.raises(GraphError, match="ghost"):
         step(c)
+
+
+# -- the indexed matcher against the reference matcher ------------------------
+
+
+def _star_model(n: int) -> dict:
+    """A center c with n `next` spokes whose ids sort apart from their
+    edge ids, so node order and edge order both matter."""
+    spokes = [f"s{(7 * i) % n:02d}" for i in range(n)]
+    return {
+        "typegraph": "linked-list",
+        "nodes": [{"id": "c", "type": "Object"}]
+        + [{"id": s, "type": "Object"} for s in spokes],
+        "edges": [
+            {"id": f"e{i:02d}", "type": "next", "src": "c", "trg": s}
+            for i, s in enumerate(spokes)
+        ],
+    }
+
+
+def _with_head_nac(diagram: dict) -> dict:
+    """`while_star` whose head pattern forbids an edge x -> this."""
+    out = json.loads(json.dumps(diagram))
+    head = next(p for p in out["patterns"] if p["node"] == "head")
+    lhs = head["rule"]["lhs"]
+    graph = json.loads(json.dumps(lhs))
+    graph["edges"].append({"id": "back", "type": "next", "src": "x", "trg": "t"})
+    embed = [{"l": n["id"], "n": n["id"]} for n in lhs["nodes"]]
+    embed += [{"l": e["id"], "n": e["id"]} for e in lhs["edges"]]
+    head["rule"]["nacs"] = [{"graph": graph, "embed": embed}]
+    return out
+
+
+RUN_MODES = [
+    [],
+    ["--strategy", "optimistic"],
+    ["--match-order", "random", "--seed", "7"],
+]
+
+
+def test_runs_are_byte_identical_under_the_reference_matcher(
+    tmp_path, monkeypatch, capsys
+):
+    star_diagram = json.loads(
+        (FIXTURES / "while_star.diagram.json").read_text(encoding="utf-8")
+    )
+    nac = tmp_path / "while_star_nac.json"
+    nac.write_text(json.dumps(_with_head_nac(star_diagram)), encoding="utf-8")
+    star = tmp_path / "star25.json"
+    star.write_text(json.dumps(_star_model(25)), encoding="utf-8")
+    lists = [FIXTURES / f"list{k}.model.json" for k in range(1, 6)]
+    cases = [
+        (FIXTURES / "while_star.diagram.json", star, "c"),
+        (nac, star, "c"),
+    ]
+    for name in ("delete_next_object", "join_policy"):
+        cases += [(FIXTURES / f"{name}.diagram.json", m, "o1") for m in lists]
+
+    reference_calls = []
+
+    def reference(*args, **kwargs):
+        reference_calls.append(args[0].name)
+        return reference_matches(*args, **kwargs)
+
+    def outputs(tag: str, diagram, model, this, flags) -> tuple:
+        out = tmp_path / f"{tag}.out.json"
+        trace = tmp_path / f"{tag}.trace.jsonl"
+        code = main(
+            ["run", str(diagram), str(model), "--this", this,
+             "--out", str(out), "--trace", str(trace), *flags]
+        )
+        return code, capsys.readouterr().out, out.read_bytes(), trace.read_bytes()
+
+    for i, (diagram, model, this) in enumerate(cases):
+        for j, flags in enumerate(RUN_MODES):
+            package = outputs(f"{i}-{j}-package", diagram, model, this, flags)
+            with monkeypatch.context() as patch:
+                patch.setattr(sdm.interp, "find_matches", reference)
+                expected = outputs(f"{i}-{j}-reference", diagram, model, this, flags)
+            assert package == expected, (diagram.name, model.name, flags)
+    assert len(reference_calls) > 100
+
+
+def _linear_variable_for(self, model_node: str) -> str:
+    # the unindexed lookup: scan var_models in creation order
+    for var, target in self.var_models.items():
+        if target == model_node:
+            return var
+    var = self._fresh("v")
+    self.var_models[var] = model_node
+    return var
+
+
+@pytest.mark.parametrize(
+    "diagram_name, model_name, this",
+    [
+        ("while_star.diagram.json", "star5.model.json", "o0"),
+        # the conservative join rebinds a variable to a model node that
+        # already has a Variable proxy
+        ("join_policy.diagram.json", "list3.model.json", "o1"),
+    ],
+)
+def test_variable_index_keeps_state_graph_bytes(
+    monkeypatch, diagram_name, model_name, this
+):
+    d = load_diagram(diagram_name)
+    model = load_model(model_name, d.tg)
+
+    def state_graphs() -> list[str]:
+        c = initialize(d, model, this)
+        states = [serialize_graph(c.state_graph())]
+        while c.status == RUNNING:
+            step(c)
+            states.append(serialize_graph(c.state_graph()))
+        return states
+
+    indexed = state_graphs()
+    monkeypatch.setattr(Configuration, "_variable_for", _linear_variable_for)
+    assert state_graphs() == indexed

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdm.graph import (
     Edge,
@@ -33,7 +35,7 @@ from sdm.rewrite import (
 )
 
 from .conftest import linked_list_tg, make_list, random_graph, zoo_tg
-from .oracles import brute_force_matches, naive_pushout
+from .oracles import brute_force_matches, naive_pushout, reference_matches
 
 
 def _identity_rule(tg, *node_types: str) -> Rule:
@@ -182,6 +184,107 @@ def test_matches_agree_with_exhaustive_enumeration():
         )
         want = brute_force_matches(pattern, host)
         assert got == want, f"round {round_}"
+
+
+def _subgraph_pattern(rng: random.Random, host: TypedGraph) -> TypedGraph:
+    """Up to three host nodes and three of the edges among them, renamed
+    and with some node types generalized, so the host holds a match."""
+    tg = host.tg
+    picked = rng.sample(host.node_ids(), rng.randint(1, min(3, len(host.nodes))))
+    rename = {n: f"p{i}" for i, n in enumerate(rng.sample(picked, len(picked)))}
+    nodes = {}
+    for n in picked:
+        ntype = host.nodes[n]
+        if tg.node_types[ntype] is not None and rng.random() < 0.4:
+            ntype = tg.node_types[ntype]
+        nodes[rename[n]] = ntype
+    inside = [
+        e
+        for _, e in sorted(host.edges.items())
+        if e.src in rename and e.trg in rename and rng.random() < 0.7
+    ]
+    edges = {
+        f"q{i}": Edge(e.type, rename[e.src], rename[e.trg])
+        for i, e in enumerate(inside[:3])  # parallel edges multiply matches
+    }
+    return TypedGraph(tg, nodes, edges)
+
+
+def _rule_with_random_nacs(rng: random.Random, host: TypedGraph) -> Rule:
+    """Identity rule on a random lhs, guarded by up to two random NACs.
+
+    The lhs is a random graph or, more often, a pattern the host holds.
+    Each NAC graph copies the lhs and adds nodes and edges, parallel ones
+    and self-loops included, between any of its nodes.
+    """
+    tg = host.tg
+    if rng.random() < 0.3:
+        lhs = random_graph(rng, tg, 3, 4)
+    else:
+        lhs = _subgraph_pattern(rng, host)
+    nacs = []
+    for _ in range(rng.randint(0, 2)):
+        nodes = dict(lhs.nodes)
+        for i in range(rng.randint(0, 2)):
+            nodes[f"w{i}"] = rng.choice(sorted(tg.node_types))
+        edges = dict(lhs.edges)
+        for i in range(rng.randint(0, 3)):
+            etype = rng.choice(sorted(tg.edge_types))
+            decl = tg.edge_types[etype]
+            srcs = [v for v, t in sorted(nodes.items()) if tg.conforms(t, decl.src)]
+            trgs = [v for v, t in sorted(nodes.items()) if tg.conforms(t, decl.trg)]
+            if srcs and trgs:
+                edges[f"f{i}"] = Edge(etype, rng.choice(srcs), rng.choice(trgs))
+        graph = TypedGraph(tg, nodes, edges)
+        embedding = PartialMorphism(
+            lhs, graph, {n: n for n in lhs.nodes}, {e: e for e in lhs.edges}
+        )
+        nacs.append(NAC(graph, embedding))
+    mapping = PartialMorphism(
+        lhs, lhs, {n: n for n in lhs.nodes}, {e: e for e in lhs.edges}
+    )
+    return Rule("guarded", lhs, lhs, mapping, tuple(nacs))
+
+
+def _random_pins(rng: random.Random, lhs: TypedGraph, host: TypedGraph) -> dict:
+    """Pin a random subset of lhs nodes to distinct type-conforming images."""
+    pins: dict[str, str] = {}
+    for ln in lhs.node_ids():
+        if rng.random() < 0.5:
+            continue
+        images = [
+            hn
+            for hn in host.node_ids()
+            if hn not in pins.values()
+            and host.tg.conforms(host.nodes[hn], lhs.nodes[ln])
+        ]
+        if images:
+            pins[ln] = rng.choice(images)
+    return pins
+
+
+def _maps(matches) -> list[tuple[dict, dict]]:
+    return [(m.node_map, m.edge_map) for m in matches]
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_match_list_equals_the_reference_matcher_in_order(seed):
+    # the reference lists every match and sorts; the package must yield
+    # the same list in the same order, and `first` must give its head
+    rng = random.Random(seed)
+    tg = zoo_tg()
+    host = random_graph(rng, tg, 6, 12)
+    rule = _rule_with_random_nacs(rng, host)
+    partial = _random_pins(rng, rule.lhs, host)
+    for nac_injective in (True, False):
+        want = _maps(reference_matches(rule, host, partial, nac_injective))
+        got = find_matches(rule, host, partial, nac_injective=nac_injective)
+        assert _maps(got) == want
+        head = find_matches(
+            rule, host, partial, nac_injective=nac_injective, first=True
+        )
+        assert _maps(head) == want[:1]
 
 
 def _nac_edge_rule(tg) -> Rule:

@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+from sdm.cli import main
+from sdm.diagram import load_story_diagram
 from sdm.graph import GraphBuilder, GraphError, find_isomorphism, validate_typing
 from sdm.rewrite import apply_rule, enumerate_language, find_matches, rule_from_dict
 from sdm.syntax import (
@@ -36,6 +38,7 @@ from sdm.syntax import (
     validate_control_flow,
 )
 
+from .builders import FIXTURES
 from .conftest import linked_list_tg, make_list
 
 
@@ -255,6 +258,17 @@ def test_classify_loops_both_polarities():
     cls2 = classify_nodes(g2)
     assert cls2.kinds["n#1"] == LOOP_HEAD_FAILURE
     assert cls2.branch_members["n#1"] == {SUCCESS: set(), FAILURE: set()}
+
+
+def test_classify_joins_an_if_then_closing_a_nested_loop_body(capsys):
+    # the if-then c00014833 ends the body of an inner loop nested in an
+    # outer one; its join, the inner loop head, also has a predecessor
+    # that both branches reach through the outer loop
+    path = FIXTURES / "nested_loop_join.diagram.json"
+    assert main(["validate", str(path)]) == 0
+    cls = load_story_diagram(path).classification
+    assert cls.kinds["c00014833"] == COND_JOINING
+    assert cls.joins["c00014833"] == "c00011820"
 
 
 def test_classify_rejects_malformed_graphs():
