@@ -18,7 +18,14 @@ from typing import Optional
 from .denot import OracleError, cross_check
 from .diagram import DiagramError, load_story_diagram
 from .graph import FormatError, GraphError, parse_graph, serialize_graph
-from .interp import ERROR, NONTERMINATING, TERMINATED, initialize, run
+from .interp import (
+    ERROR,
+    NONTERMINATING,
+    TERMINATED,
+    Configuration,
+    initialize,
+    run,
+)
 from .rewrite import enumerate_language
 from .syntax import syntax_grammar
 
@@ -56,29 +63,25 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def _start(args: argparse.Namespace, **options) -> tuple[Optional[Configuration], int]:
+    """Load the diagram and the model, and bind `this` in a fresh configuration."""
     d, code = _load_diagram(args.diagram)
     if d is None:
-        return code
+        return None, code
     try:
         with open(args.model, encoding="utf-8") as fh:
             model = parse_graph(fh.read(), d.tg)
-    except (OSError, FormatError) as exc:
+        c = initialize(d, model, args.this, strategy=args.strategy, **options)
+    except (OSError, FormatError, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        c = initialize(
-            d,
-            model,
-            args.this,
-            strategy=args.strategy,
-            match_order=args.match_order,
-            seed=args.seed,
-        )
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return None, EXIT_INPUT
+    return c, EXIT_OK
 
+
+def cmd_run(args: argparse.Namespace) -> int:
+    c, code = _start(args, match_order=args.match_order, seed=args.seed)
+    if c is None:
+        return code
     c, trace = run(c, max_steps=args.max_steps)
 
     # outputs are written for every status: error and budget states are
@@ -112,25 +115,13 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    d, code = _load_diagram(args.diagram)
-    if d is None:
+    c, code = _start(args)
+    if c is None:
         return code
-    try:
-        with open(args.model, encoding="utf-8") as fh:
-            model = parse_graph(fh.read(), d.tg)
-    except (OSError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        c = initialize(d, model, args.this, strategy=args.strategy)
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    d, model = c.diagram, c.model
     c, trace = run(c, max_steps=args.max_steps)
     try:
-        verdict = cross_check(
-            d, model, args.this, trace, model_bound=args.model_bound
-        )
+        verdict = cross_check(d, model, trace, model_bound=args.model_bound)
     except OracleError as exc:
         print(f"oracle refused: {exc}", file=sys.stderr)
         return EXIT_ORACLE_REFUSED

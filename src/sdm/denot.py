@@ -16,13 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .diagram import StoryDiagram
-from .graph import (
-    GraphError,
-    PartialMorphism,
-    TypedGraph,
-    find_isomorphism,
-    iso_signature,
-)
+from .graph import GraphError, IsoSet, PartialMorphism, TypedGraph
 from .interp import Trace
 from .rewrite import Match, Rule, apply_rule, find_matches
 from .syntax import (
@@ -55,33 +49,23 @@ class SemSet:
 
     def __init__(self, incomplete: bool = False) -> None:
         self.incomplete = incomplete
-        self._buckets: dict[tuple[str, str], list[tuple[TypedGraph, TypedGraph]]] = {}
-        self._size = 0
-
-    def _key(self, g: TypedGraph, h: TypedGraph) -> tuple[str, str]:
-        return (iso_signature(g), iso_signature(h))
+        self._pairs = IsoSet()
 
     def add(self, g: TypedGraph, h: TypedGraph) -> None:
-        if self.contains(g, h):
-            return
-        self._buckets.setdefault(self._key(g, h), []).append((g, h))
-        self._size += 1
+        self._pairs.add((g, h))
 
     def contains(self, g: TypedGraph, h: TypedGraph) -> bool:
-        for g2, h2 in self._buckets.get(self._key(g, h), []):
-            if find_isomorphism(g, g2) and find_isomorphism(h, h2):
-                return True
-        return False
+        return (g, h) in self._pairs
 
     def pairs(self) -> list[tuple[TypedGraph, TypedGraph]]:
-        return [p for bucket in self._buckets.values() for p in bucket]
+        return list(self._pairs)
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._pairs)
 
     def __repr__(self) -> str:
         flag = ", incomplete" if self.incomplete else ""
-        return f"SemSet({self._size} pairs{flag})"
+        return f"SemSet({len(self)} pairs{flag})"
 
 
 # -- denotational expressions ------------------------------------------------
@@ -247,7 +231,6 @@ class Verdict:
 def cross_check(
     d: StoryDiagram,
     model: TypedGraph,
-    this_node: str,
     trace: Trace,
     model_bound: int = DEFAULT_MODEL_BOUND,
     depth: int = DEFAULT_UNROLL_DEPTH,
@@ -306,7 +289,6 @@ def cross_check(
     if v.pair_found:
         v.notes.append("pair is in the composed semantics")
     elif sem.incomplete:
-        v.ok = True
         v.pair_checked = False
         v.notes.append(
             "pair not found but the semantics is incomplete at this depth"

@@ -93,12 +93,6 @@ class StoryPattern:
                 f"{sorted(unknown)}"
             )
 
-    def lhs_node_of(self, name: str) -> str:
-        for node, var in self.lhs_names.items():
-            if var == name:
-                return node
-        raise KeyError(name)
-
     def created_names(self) -> list[str]:
         return [self.rhs_names[n] for n in self.rule.created_rhs_nodes()]
 
@@ -175,9 +169,6 @@ class ScopeTree:
             if var is not None:
                 return var
         return None
-
-    def depth(self, template_id: str) -> int:
-        return len(self.chain(template_id)) - 1
 
     def is_strict_ancestor(self, ancestor: str, descendant: str) -> bool:
         return ancestor in self.chain(descendant)[1:]
@@ -353,9 +344,18 @@ def validate_binding_marks(d: StoryDiagram, tree: ScopeTree) -> BindingReport:
 def _patterns_from_entries(
     entries: list, cfg: TypedGraph, tg: TypeGraph
 ) -> dict[str, StoryPattern]:
+    try:
+        rows = []
+        for entry in entries:
+            if not isinstance(entry, dict):
+                raise FormatError(f"pattern entry {entry!r} is not an object")
+            vars_ = entry.get("vars", [])
+            marks = [(v["elem"], v["name"], v.get("bound")) for v in vars_]
+            rows.append((entry.get("node"), entry["rule"], marks))
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"bad pattern entry: {exc!r}") from exc
     patterns: dict[str, StoryPattern] = {}
-    for entry in entries:
-        node = entry.get("node")
+    for node, raw_rule, marks in rows:
         if node not in cfg.nodes:
             raise DiagramError(f"pattern references unknown node {node!r}")
         if cfg.nodes[node] != CF_NODE:
@@ -364,12 +364,11 @@ def _patterns_from_entries(
             )
         if node in patterns:
             raise DiagramError(f"node {node!r} has two patterns")
-        rule = rule_from_dict(entry["rule"], tg)
+        rule = rule_from_dict(raw_rule, tg)
         lhs_names: dict[str, str] = {}
         rhs_names: dict[str, str] = {}
         bound: set[str] = set()
-        for var in entry.get("vars", []):
-            elem, name = var["elem"], var["name"]
+        for elem, name, marked in marks:
             hit = False
             if elem in rule.lhs.nodes:
                 lhs_names[elem] = name
@@ -381,7 +380,7 @@ def _patterns_from_entries(
                 raise DiagramError(
                     f"node {node!r}: variable entry names unknown element {elem!r}"
                 )
-            if var.get("bound"):
+            if marked:
                 if elem not in rule.lhs.nodes:
                     raise DiagramError(
                         f"node {node!r}: bound mark on created element {elem!r}"
@@ -408,7 +407,10 @@ def diagram_from_dict(data: dict) -> StoryDiagram:
     tg = TypeGraph.from_dict(data["typegraph"])
     cfg = graph_from_dict(data["cfg"], SYNTAX_TYPE_GRAPH)
 
-    params = [(p["name"], p["type"]) for p in data["params"]]
+    try:
+        params = [(p["name"], p["type"]) for p in data["params"]]
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"bad params entry: {exc!r}") from exc
     if len(params) != 1 or params[0][0] != "this":
         raise DiagramError("params must be exactly [this]")
     if params[0][1] not in tg.node_types:

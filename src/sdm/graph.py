@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 
 class GraphError(Exception):
@@ -108,15 +108,18 @@ class TypeGraph:
         except (KeyError, TypeError) as exc:
             raise FormatError(f"type graph missing field: {exc}") from exc
         node_types: dict[str, Optional[str]] = {}
-        for entry in raw_nodes:
-            if entry["name"] in node_types:
-                raise FormatError(f"duplicate node type {entry['name']!r}")
-            node_types[entry["name"]] = entry.get("parent")
         edge_types: dict[str, EdgeType] = {}
-        for entry in raw_edges:
-            if entry["name"] in edge_types:
-                raise FormatError(f"duplicate edge type {entry['name']!r}")
-            edge_types[entry["name"]] = EdgeType(entry["src"], entry["trg"])
+        try:
+            for entry in raw_nodes:
+                if entry["name"] in node_types:
+                    raise FormatError(f"duplicate node type {entry['name']!r}")
+                node_types[entry["name"]] = entry.get("parent")
+            for entry in raw_edges:
+                if entry["name"] in edge_types:
+                    raise FormatError(f"duplicate edge type {entry['name']!r}")
+                edge_types[entry["name"]] = EdgeType(entry["src"], entry["trg"])
+        except (KeyError, TypeError) as exc:
+            raise FormatError(f"bad type graph entry: {exc!r}") from exc
         try:
             return cls(name, node_types, edge_types)
         except GraphError as exc:
@@ -326,6 +329,128 @@ class PartialMorphism:
         )
 
 
+def _parallel_edges(g: TypedGraph, src: str, trg: str, etype: str) -> list[str]:
+    """Ids of the etype edges src -> trg in id order, scanning the shorter side."""
+    outs, ins = g.out_edges(src), g.in_edges(trg)
+    return [
+        eid
+        for eid, e in (outs if len(outs) <= len(ins) else ins)
+        if e.src == src and e.trg == trg and e.type == etype
+    ]
+
+
+def _enumerate_monos(
+    pattern: TypedGraph,
+    host: TypedGraph,
+    forced_nodes: dict[str, str],
+    forced_edges: Optional[dict[str, str]] = None,
+    injective: bool = True,
+) -> Iterator[tuple[dict[str, str], dict[str, str]]]:
+    """Yield structure- and typing-preserving occurrences, smallest first.
+
+    Node images may specialize the pattern's node type via inheritance.
+    Order is lexicographic over host ids taken in sorted pattern-id
+    order, nodes before edges. Forced nodes are bound first, which keeps
+    that order since each has a single image. Every other node draws its
+    candidates from the host neighbours of its bound pattern neighbours,
+    and a new binding is checked only against the pattern edges that
+    join it to nodes bound before it.
+    """
+    for pn in forced_nodes:
+        if pn not in pattern.nodes:
+            raise GraphError(f"forced assignment names unknown pattern node {pn!r}")
+    pnodes = pattern.node_ids()
+    pedges = pattern.edge_ids()
+    forced_edges = forced_edges or {}
+    pinned = [n for n in pnodes if n in forced_nodes]
+    free = [n for n in pnodes if n not in forced_nodes]
+    rank = {n: i for i, n in enumerate(pinned + free)}
+
+    # per node: how many edges of each (src, trg, type) it needs towards
+    # itself and the nodes bound before it
+    needs: dict[str, dict[tuple[str, str, str], int]] = {n: {} for n in pnodes}
+    for e in pattern.edges.values():
+        later = e.src if rank[e.src] >= rank[e.trg] else e.trg
+        key = (e.src, e.trg, e.type)
+        needs[later][key] = needs[later].get(key, 0) + 1
+
+    assigned: dict[str, str] = {}
+
+    def node_ok(pn: str, hn: str) -> bool:
+        if hn not in host.nodes:
+            return False
+        if not host.tg.conforms(host.nodes[hn], pattern.nodes[pn]):
+            return False
+        if injective and hn in assigned.values():
+            return False
+        for (a, b, etype), need in needs[pn].items():
+            src = hn if a == pn else assigned[a]
+            trg = hn if b == pn else assigned[b]
+            if len(_parallel_edges(host, src, trg, etype)) < (need if injective else 1):
+                return False
+        return True
+
+    def node_candidates(pn: str) -> list[str]:
+        found: Optional[set[str]] = None
+        for a, b, etype in needs[pn]:
+            if a == b:
+                continue
+            if b == pn:
+                adjacent = host.out_edges(assigned[a])
+                ends = {e.trg for _, e in adjacent if e.type == etype}
+            else:
+                adjacent = host.in_edges(assigned[b])
+                ends = {e.src for _, e in adjacent if e.type == etype}
+            found = ends if found is None else found & ends
+            if not found:
+                return []
+        return host.node_ids() if found is None else sorted(found)
+
+    def assign_nodes(i: int) -> Iterator[dict[str, str]]:
+        if i == len(free):
+            yield {n: assigned[n] for n in pnodes}
+            return
+        pn = free[i]
+        for hn in node_candidates(pn):
+            if node_ok(pn, hn):
+                assigned[pn] = hn
+                yield from assign_nodes(i + 1)
+                del assigned[pn]
+
+    def assign_edges(
+        nodes: dict[str, str], i: int, emap: dict[str, str], used: set[str]
+    ) -> Iterator[dict[str, str]]:
+        if i == len(pedges):
+            yield dict(emap)
+            return
+        pe = pedges[i]
+        e = pattern.edges[pe]
+        want_src, want_trg = nodes[e.src], nodes[e.trg]
+        if pe in forced_edges:
+            candidates = [forced_edges[pe]]
+        else:
+            candidates = _parallel_edges(host, want_src, want_trg, e.type)
+        for hid in candidates:
+            if injective and hid in used:
+                continue
+            he = host.edges.get(hid)
+            if he is None or he.src != want_src or he.trg != want_trg:
+                continue
+            emap[pe] = hid
+            used.add(hid)
+            yield from assign_edges(nodes, i + 1, emap, used)
+            del emap[pe]
+            used.discard(hid)
+
+    for pn in pinned:
+        if not node_ok(pn, forced_nodes[pn]):
+            return
+        assigned[pn] = forced_nodes[pn]
+    for nodes in assign_nodes(0):
+        for emap in assign_edges(nodes, 0, {}, set()):
+            yield nodes, emap
+
+
 def iso_signature(g: TypedGraph) -> tuple:
     """Cheap isomorphism-invariant key for bucketing graphs."""
     per_node = []
@@ -354,90 +479,54 @@ def find_isomorphism(g: TypedGraph, h: TypedGraph) -> Optional[PartialMorphism]:
         return None
     if iso_signature(g) != iso_signature(h):
         return None
+    # equal counts make the matcher's injective morphism bijective, and
+    # equal node-type multisets make a bijection whose images conform
+    # to their preimages' types keep every type exactly
+    for node_map, edge_map in _enumerate_monos(g, h, {}):
+        return PartialMorphism(g, h, node_map, edge_map)
+    return None
 
-    g_nodes = g.node_ids()
-    h_by_type: dict[str, list[str]] = {}
-    for nid in h.node_ids():
-        h_by_type.setdefault(h.nodes[nid], []).append(nid)
 
-    def node_degrees(graph: TypedGraph, nid: str) -> tuple:
-        outs: dict[str, int] = {}
-        ins: dict[str, int] = {}
-        for _, e in graph.out_edges(nid):
-            outs[e.type] = outs.get(e.type, 0) + 1
-        for _, e in graph.in_edges(nid):
-            ins[e.type] = ins.get(e.type, 0) + 1
-        return (tuple(sorted(outs.items())), tuple(sorted(ins.items())))
+class IsoSet:
+    """Graphs, or tuples of graphs, kept once per isomorphism class.
 
-    g_deg = {nid: node_degrees(g, nid) for nid in g.nodes}
-    h_deg = {nid: node_degrees(h, nid) for nid in h.nodes}
+    Members are bucketed by `iso_signature`, componentwise for tuples
+    and computed once per insert or lookup, and compared within a
+    bucket by `find_isomorphism`. Iteration runs bucket by bucket, in
+    insertion order.
+    """
 
-    assignment: dict[str, str] = {}
-    used: set[str] = set()
+    def __init__(self) -> None:
+        self._buckets: dict[tuple, list] = {}
+        self._size = 0
 
-    def edges_consistent(gl: str, hl: str) -> bool:
-        # every g-edge between assigned nodes needs a matching h-edge count
-        for other_g, other_h in assignment.items():
-            for a, b, ha, hb in (
-                (gl, other_g, hl, other_h),
-                (other_g, gl, other_h, hl),
-            ):
-                need: dict[str, int] = {}
-                have: dict[str, int] = {}
-                for _, e in g.out_edges(a):
-                    if e.trg == b:
-                        need[e.type] = need.get(e.type, 0) + 1
-                for _, e in h.out_edges(ha):
-                    if e.trg == hb:
-                        have[e.type] = have.get(e.type, 0) + 1
-                if need != have:
-                    return False
-        # self loops
-        need = {}
-        have = {}
-        for _, e in g.out_edges(gl):
-            if e.trg == gl:
-                need[e.type] = need.get(e.type, 0) + 1
-        for _, e in h.out_edges(hl):
-            if e.trg == hl:
-                have[e.type] = have.get(e.type, 0) + 1
-        return need == have
+    def _find(self, item) -> tuple[tuple, bool]:
+        # the item's bucket key, and whether an isomorphic member exists
+        parts = (item,) if isinstance(item, TypedGraph) else item
+        key = tuple(iso_signature(p) for p in parts)
+        for member in self._buckets.get(key, ()):
+            others = (member,) if isinstance(member, TypedGraph) else member
+            if all(find_isomorphism(a, b) for a, b in zip(parts, others)):
+                return key, True
+        return key, False
 
-    def backtrack(i: int) -> bool:
-        if i == len(g_nodes):
-            return True
-        gl = g_nodes[i]
-        for hl in h_by_type.get(g.nodes[gl], []):
-            if hl in used or h_deg[hl] != g_deg[gl]:
-                continue
-            if not edges_consistent(gl, hl):
-                continue
-            assignment[gl] = hl
-            used.add(hl)
-            if backtrack(i + 1):
-                return True
-            del assignment[gl]
-            used.remove(hl)
-        return False
+    def add(self, item) -> bool:
+        """Insert item unless an isomorphic member exists; True if inserted."""
+        key, found = self._find(item)
+        if not found:
+            self._buckets.setdefault(key, []).append(item)
+            self._size += 1
+        return not found
 
-    if not backtrack(0):
-        return None
+    def __contains__(self, item) -> bool:
+        return self._find(item)[1]
 
-    # pair up parallel edges deterministically
-    edge_map: dict[str, str] = {}
-    h_used: set[str] = set()
-    for eid in g.edge_ids():
-        e = g.edges[eid]
-        for hid, he in h.out_edges(assignment[e.src]):
-            if hid in h_used:
-                continue
-            if he.trg == assignment[e.trg] and he.type == e.type:
-                edge_map[eid] = hid
-                h_used.add(hid)
-                break
-        else:
-            return None  # signature said yes but multiset differs
-    return PartialMorphism(g, h, assignment, edge_map)
+    def __iter__(self) -> Iterator:
+        for bucket in self._buckets.values():
+            yield from bucket
+
+    def __len__(self) -> int:
+        return self._size
 
 
 def serialize_graph(g: TypedGraph) -> str:

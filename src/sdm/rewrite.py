@@ -10,16 +10,17 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 from .graph import (
     Edge,
     FormatError,
     GraphError,
+    IsoSet,
     PartialMorphism,
     TypedGraph,
     TypeGraph,
-    find_isomorphism,
+    _enumerate_monos,
     graph_from_dict,
     iso_signature,
     validate_typing,
@@ -129,136 +130,11 @@ class LanguageResult:
 
     graphs: list[TypedGraph]
     max_nodes: int
+    members: IsoSet
     warnings: list[str] = field(default_factory=list)
 
     def contains(self, g: TypedGraph) -> bool:
-        sig = iso_signature(g)
-        return any(
-            iso_signature(m) == sig and find_isomorphism(g, m) is not None
-            for m in self.graphs
-        )
-
-
-def _parallel_edges(g: TypedGraph, src: str, trg: str, etype: str) -> list[str]:
-    """Ids of the etype edges src -> trg in id order, scanning the shorter side."""
-    outs, ins = g.out_edges(src), g.in_edges(trg)
-    return [
-        eid
-        for eid, e in (outs if len(outs) <= len(ins) else ins)
-        if e.src == src and e.trg == trg and e.type == etype
-    ]
-
-
-def _enumerate_monos(
-    pattern: TypedGraph,
-    host: TypedGraph,
-    forced_nodes: dict[str, str],
-    forced_edges: Optional[dict[str, str]] = None,
-    injective: bool = True,
-) -> Iterator[tuple[dict[str, str], dict[str, str]]]:
-    """Yield structure- and typing-preserving occurrences, smallest first.
-
-    Node images may specialize the pattern's node type via inheritance.
-    Order is lexicographic over host ids taken in sorted pattern-id
-    order, nodes before edges. Forced nodes are bound first, which keeps
-    that order since each has a single image. Every other node draws its
-    candidates from the host neighbours of its bound pattern neighbours,
-    and a new binding is checked only against the pattern edges that
-    join it to nodes bound before it.
-    """
-    for pn in forced_nodes:
-        if pn not in pattern.nodes:
-            raise GraphError(f"forced assignment names unknown pattern node {pn!r}")
-    pnodes = pattern.node_ids()
-    pedges = pattern.edge_ids()
-    forced_edges = forced_edges or {}
-    pinned = [n for n in pnodes if n in forced_nodes]
-    free = [n for n in pnodes if n not in forced_nodes]
-    rank = {n: i for i, n in enumerate(pinned + free)}
-
-    # per node: how many edges of each (src, trg, type) it needs towards
-    # itself and the nodes bound before it
-    needs: dict[str, dict[tuple[str, str, str], int]] = {n: {} for n in pnodes}
-    for e in pattern.edges.values():
-        later = e.src if rank[e.src] >= rank[e.trg] else e.trg
-        key = (e.src, e.trg, e.type)
-        needs[later][key] = needs[later].get(key, 0) + 1
-
-    assigned: dict[str, str] = {}
-
-    def node_ok(pn: str, hn: str) -> bool:
-        if hn not in host.nodes:
-            return False
-        if not host.tg.conforms(host.nodes[hn], pattern.nodes[pn]):
-            return False
-        if injective and hn in assigned.values():
-            return False
-        for (a, b, etype), need in needs[pn].items():
-            src = hn if a == pn else assigned[a]
-            trg = hn if b == pn else assigned[b]
-            if len(_parallel_edges(host, src, trg, etype)) < (need if injective else 1):
-                return False
-        return True
-
-    def node_candidates(pn: str) -> list[str]:
-        found: Optional[set[str]] = None
-        for a, b, etype in needs[pn]:
-            if a == b:
-                continue
-            if b == pn:
-                adjacent = host.out_edges(assigned[a])
-                ends = {e.trg for _, e in adjacent if e.type == etype}
-            else:
-                adjacent = host.in_edges(assigned[b])
-                ends = {e.src for _, e in adjacent if e.type == etype}
-            found = ends if found is None else found & ends
-            if not found:
-                return []
-        return host.node_ids() if found is None else sorted(found)
-
-    def assign_nodes(i: int) -> Iterator[dict[str, str]]:
-        if i == len(free):
-            yield {n: assigned[n] for n in pnodes}
-            return
-        pn = free[i]
-        for hn in node_candidates(pn):
-            if node_ok(pn, hn):
-                assigned[pn] = hn
-                yield from assign_nodes(i + 1)
-                del assigned[pn]
-
-    def assign_edges(
-        nodes: dict[str, str], i: int, emap: dict[str, str], used: set[str]
-    ) -> Iterator[dict[str, str]]:
-        if i == len(pedges):
-            yield dict(emap)
-            return
-        pe = pedges[i]
-        e = pattern.edges[pe]
-        want_src, want_trg = nodes[e.src], nodes[e.trg]
-        if pe in forced_edges:
-            candidates = [forced_edges[pe]]
-        else:
-            candidates = _parallel_edges(host, want_src, want_trg, e.type)
-        for hid in candidates:
-            if injective and hid in used:
-                continue
-            he = host.edges.get(hid)
-            if he is None or he.src != want_src or he.trg != want_trg:
-                continue
-            emap[pe] = hid
-            used.add(hid)
-            yield from assign_edges(nodes, i + 1, emap, used)
-            del emap[pe]
-            used.discard(hid)
-
-    for pn in pinned:
-        if not node_ok(pn, forced_nodes[pn]):
-            return
-        assigned[pn] = forced_nodes[pn]
-    for nodes in assign_nodes(0):
-        for emap in assign_edges(nodes, 0, {}, set()):
-            yield nodes, emap
+        return g in self.members
 
 
 def check_nac(nac: NAC, match: Match, injective: bool = True) -> bool:
@@ -432,10 +308,8 @@ def enumerate_language(grammar: GraphGrammar, max_nodes: int) -> LanguageResult:
                 f"rule {rule.name!r} deletes nodes; pruning may drop members"
             )
 
-    kept: list[TypedGraph] = [grammar.start]
-    buckets: dict[tuple, list[TypedGraph]] = {
-        iso_signature(grammar.start): [grammar.start]
-    }
+    members = IsoSet()
+    members.add(grammar.start)
     frontier = [grammar.start]
     rules = sorted(grammar.rules, key=lambda r: r.name)
     while frontier:
@@ -444,18 +318,13 @@ def enumerate_language(grammar: GraphGrammar, max_nodes: int) -> LanguageResult:
             for rule in rules:
                 for match in find_matches(rule, g):
                     h = apply_rule(rule, match, g).result
-                    if len(h.nodes) > max_nodes:
-                        continue
-                    sig = iso_signature(h)
-                    bucket = buckets.setdefault(sig, [])
-                    if any(find_isomorphism(h, seen) for seen in bucket):
-                        continue
-                    bucket.append(h)
-                    kept.append(h)
-                    next_frontier.append(h)
+                    if len(h.nodes) <= max_nodes and members.add(h):
+                        next_frontier.append(h)
         frontier = next_frontier
-    kept.sort(key=lambda g: (len(g.nodes), len(g.edges), iso_signature(g)))
-    return LanguageResult(graphs=kept, max_nodes=max_nodes, warnings=warnings)
+    # signatures lead with the node and edge counts; members sharing one
+    # share a bucket, so the stable sort keeps them in insertion order
+    graphs = sorted(members, key=iso_signature)
+    return LanguageResult(graphs, max_nodes, members, warnings)
 
 
 def rule_to_dict(rule: Rule) -> dict:
@@ -484,13 +353,19 @@ def rule_from_dict(data: dict, tg: TypeGraph) -> Rule:
         name = data["name"]
         lhs = graph_from_dict(data["lhs"], tg)
         rhs = graph_from_dict(data["rhs"], tg)
-        raw_map = data["map"]
+        pairs = [(pair["l"], pair["r"]) for pair in data["map"]]
+        raw_nacs = [
+            (
+                graph_from_dict(raw["graph"], tg),
+                [(p["l"], p["n"]) for p in raw.get("embed", [])],
+            )
+            for raw in data.get("nacs", [])
+        ]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"rule missing field: {exc}") from exc
     node_map: dict[str, str] = {}
     edge_map: dict[str, str] = {}
-    for pair in raw_map:
-        l, r = pair["l"], pair["r"]
+    for l, r in pairs:
         if l in lhs.nodes:
             node_map[l] = r
         elif l in lhs.edges:
@@ -502,12 +377,10 @@ def rule_from_dict(data: dict, tg: TypeGraph) -> Rule:
     except GraphError as exc:
         raise FormatError(str(exc)) from exc
     nacs = []
-    for raw in data.get("nacs", []):
-        ngraph = graph_from_dict(raw["graph"], tg)
+    for ngraph, embed in raw_nacs:
         nnodes: dict[str, str] = {}
         nedges: dict[str, str] = {}
-        for pair in raw.get("embed", []):
-            l, n = pair["l"], pair["n"]
+        for l, n in embed:
             if l in lhs.nodes:
                 nnodes[l] = n
             elif l in lhs.edges:

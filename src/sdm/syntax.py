@@ -21,17 +21,17 @@ from .graph import (
     EdgeType,
     GraphBuilder,
     GraphError,
+    IsoSet,
     PartialMorphism,
     TypedGraph,
     TypeGraph,
+    _enumerate_monos,
     find_isomorphism,
-    iso_signature,
     validate_typing,
 )
 from .rewrite import (
     GraphGrammar,
     Rule,
-    _enumerate_monos,
     apply_rule,
     find_matches,
     rule_to_dict,
@@ -345,19 +345,15 @@ def validate_control_flow(g: TypedGraph) -> CfgValidation:
     rules = sorted(
         syntax_rules(), key=lambda r: (-len(r.rhs.nodes), -len(r.rhs.edges), r.name)
     )
-    failed: dict[tuple, list[TypedGraph]] = {}
+    failed = IsoSet()
     restore_counter = [0]
-
-    def known_failure(cur: TypedGraph) -> bool:
-        bucket = failed.get(iso_signature(cur), [])
-        return any(find_isomorphism(cur, seen) for seen in bucket)
 
     def search(cur: TypedGraph) -> Optional[tuple[TypedGraph, list[DerivationStep]]]:
         if len(cur.nodes) == len(target.nodes):
             if find_isomorphism(cur, target):
                 return cur, []
             return None
-        if len(cur.nodes) < len(target.nodes) or known_failure(cur):
+        if len(cur.nodes) < len(target.nodes) or cur in failed:
             return None
         for rule in rules:
             created = [n for n in rule.rhs.node_ids() if n not in ("a", "b")]
@@ -398,7 +394,7 @@ def validate_control_flow(g: TypedGraph) -> CfgValidation:
                         )
                     )
                     return base, steps
-        failed.setdefault(iso_signature(cur), []).append(cur)
+        failed.add(cur)
         return None
 
     found = search(g)

@@ -412,14 +412,14 @@ def test_criterion_8_oracle_agreement(capsys):
         d = _diagram(diagram_name)
         model = _model(model_name, d.tg)
         c, trace = run(initialize(d, model, this))
-        v = cross_check(d, model, this, trace)
+        v = cross_check(d, model, trace)
         if not (v.ok and v.pair_checked and v.pair_found):
             problems.append(f"{diagram_name}+{model_name}: {v.notes}")
 
     d = _diagram("two_node_seq.diagram.json")
     model = _model("single.model.json", d.tg)
     c, trace = run(initialize(d, model, "o1"))
-    v = cross_check(d, model, "o1", trace)
+    v = cross_check(d, model, trace)
     if not (v.ok and len(v.divergences) == 1 and not v.pair_checked):
         problems.append(f"sequential failure misreported: {v}")
     _report(

@@ -60,6 +60,35 @@ def test_validate_reports_a_missing_file(capsys):
     assert code == 3
 
 
+# each shape damages one field of the minimal diagram
+MALFORMED = {
+    "param-without-name": lambda d: d["params"][0].pop("name"),
+    "params-as-int": lambda d: d.update(params=3),
+    "pattern-without-rule": lambda d: d["patterns"][0].pop("rule"),
+    "pattern-entry-as-string": lambda d: d.update(patterns=["story"]),
+    "var-without-elem": lambda d: d["patterns"][0]["vars"][0].pop("elem"),
+    "map-pair-without-r": lambda d: d["patterns"][0]["rule"]["map"][0].pop("r"),
+    "node-type-without-name": lambda d: d["typegraph"]["node_types"][0].pop("name"),
+    "edge-types-as-int": lambda d: d["typegraph"].update(edge_types=7),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("shape", sorted(MALFORMED))
+def test_malformed_diagram_shapes_exit_three(capsys, tmp_path, shape, command):
+    data = json.loads((FIXTURES / "minimal.diagram.json").read_text())
+    MALFORMED[shape](data)
+    path = tmp_path / "bad.diagram.json"
+    path.write_text(json.dumps(data))
+    if command == "validate":
+        argv = ["validate", str(path)]
+    else:
+        argv = run_args(str(path), LIST3, tmp_path, "--this", "o1")
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert err.startswith("error: ")
+
+
 # -- run ---------------------------------------------------------------------
 
 

@@ -263,7 +263,7 @@ def test_cross_check_accepts_the_minimal_run():
     d, model, _, trace = run_fixture(
         "minimal.diagram.json", "single.model.json", "o1"
     )
-    v = cross_check(d, model, "o1", trace)
+    v = cross_check(d, model, trace)
     assert v.ok and v.pair_checked and v.pair_found
     assert v.divergences == []
 
@@ -272,7 +272,7 @@ def test_cross_check_accepts_an_all_success_branching_run():
     d, model, _, trace = run_fixture(
         "delete_next_object.diagram.json", "list3.model.json", "o1"
     )
-    v = cross_check(d, model, "o1", trace)
+    v = cross_check(d, model, trace)
     assert v.ok and v.pair_found
     assert v.sem_size >= 1
 
@@ -282,7 +282,7 @@ def test_cross_check_documents_a_sequential_failure():
         "two_node_seq.diagram.json", "single.model.json", "o1"
     )
     assert c.status == "error"
-    v = cross_check(d, model, "o1", trace)
+    v = cross_check(d, model, trace)
     assert v.ok
     assert len(v.divergences) == 1
     assert "sequential pattern failed at 'second'" in v.divergences[0]
@@ -341,7 +341,7 @@ def test_cross_check_documents_a_binding_sensitive_branch(list_tg):
     assert c.status == "terminated"
     cond_step = next(t for t in trace.steps if t.node == "cond")
     assert cond_step.outcome == "failed"
-    v = cross_check(d, model, "o1", trace)
+    v = cross_check(d, model, trace)
     assert v.ok
     assert len(v.divergences) == 1
     assert "pinned" in v.divergences[0]
@@ -352,7 +352,7 @@ def test_cross_check_flags_a_tampered_trace():
         "delete_next_object.diagram.json", "list3.model.json", "o1"
     )
     forged = Trace([t for t in trace.steps if t.node != "unlink"])
-    v = cross_check(d, model, "o1", forged)
+    v = cross_check(d, model, forged)
     assert not v.ok
     assert v.pair_checked and v.pair_found is False
     assert "missing" in v.notes[0]
@@ -362,7 +362,7 @@ def test_cross_check_notes_an_unfinished_run():
     d = load_diagram("while_star.diagram.json")
     model = load_model("star5.model.json", d.tg)
     c, trace = run(initialize(d, model, "o0"), max_steps=3)
-    v = cross_check(d, model, "o0", trace)
+    v = cross_check(d, model, trace)
     assert v.ok and not v.pair_checked
     assert any("did not terminate" in n for n in v.notes)
 
@@ -372,6 +372,6 @@ def test_cross_check_refuses_oversized_models(list_tg):
     model = make_list(list_tg, 7)
     c, trace = run(initialize(d, model, "o1"))
     with pytest.raises(OracleError, match="bound"):
-        cross_check(d, model, "o1", trace)
+        cross_check(d, model, trace)
     # a raised bound lets the same instance through
-    assert cross_check(d, model, "o1", trace, model_bound=8).ok
+    assert cross_check(d, model, trace, model_bound=8).ok

@@ -111,7 +111,7 @@ def test_pattern_name_queries(list_tg):
     )
     assert pat.deleted_names() == ["old"]
     assert pat.created_names() == ["fresh"]
-    assert pat.lhs_node_of("old") == "n"
+    assert [n for n, name in pat.lhs_names.items() if name == "old"] == ["n"]
     assert pat.var_types() == {"this": "Object", "old": "Object", "fresh": "Object"}
 
 
@@ -169,7 +169,7 @@ def test_delete_next_object_scope_tree_shape():
     assert tree.node_template["addNext"] == "hasTwo:failure"
     assert tree.node_template["unlink"] == "hasTwo:success"
     # nesting levels: root, outer branches, inner branches
-    assert max(tree.depth(t) for t in tree.templates) + 1 == 3
+    assert max(len(tree.chain(t)) for t in tree.templates) == 3
 
 
 def test_variables_declared_at_first_occurrence():

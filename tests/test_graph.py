@@ -4,14 +4,19 @@ from __future__ import annotations
 
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sdm.denot import SemSet
 from sdm.graph import (
     Edge,
     EdgeType,
     FormatError,
     GraphBuilder,
     GraphError,
+    IsoSet,
     PartialMorphism,
     TypedGraph,
     TypeGraph,
@@ -176,6 +181,92 @@ def test_isomorphism_agrees_with_exhaustive_search():
         if got:
             # sanity: symmetric
             assert find_isomorphism(h, g) is not None
+
+
+def _swapped(rng: random.Random, g: TypedGraph) -> TypedGraph:
+    """g with the targets of two same-typed edges exchanged, four times.
+
+    Every node keeps its typed in- and out-degrees, so the signature
+    stays, while the structure often changes.
+    """
+    edges = dict(g.edges)
+    for _ in range(4):
+        etype = rng.choice(sorted(g.tg.edge_types))
+        ids = sorted(eid for eid, e in edges.items() if e.type == etype)
+        if len(ids) > 1:
+            a, b = rng.sample(ids, 2)
+            ea, eb = edges[a], edges[b]
+            edges[a] = Edge(etype, ea.src, eb.trg)
+            edges[b] = Edge(etype, eb.src, ea.trg)
+    return TypedGraph(g.tg, g.nodes, edges)
+
+
+def _networkx_isomorphic(g: TypedGraph, h: TypedGraph) -> bool:
+    def as_nx(graph: TypedGraph) -> nx.MultiDiGraph:
+        out = nx.MultiDiGraph()
+        for nid, ntype in graph.nodes.items():
+            out.add_node(nid, type=ntype)
+        for e in graph.edges.values():
+            out.add_edge(e.src, e.trg, type=e.type)
+        return out
+
+    return nx.is_isomorphic(
+        as_nx(g),
+        as_nx(h),
+        node_match=nx.isomorphism.categorical_node_match("type", None),
+        edge_match=nx.isomorphism.categorical_multiedge_match("type", None),
+    )
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_isomorphism_agrees_with_brute_force_and_networkx(seed):
+    # zoo graphs carry inheritance; six nodes and up to twelve edges make
+    # parallel edges and self-loops common
+    rng = random.Random(seed)
+    g = random_graph(rng, zoo_tg(), 6, 12)
+    for h in (shuffled_copy(rng, g), _swapped(rng, g)):
+        iso = find_isomorphism(g, h)
+        assert (iso is not None) == brute_force_isomorphic(g, h)
+        assert (iso is not None) == _networkx_isomorphic(g, h)
+        if iso is not None:
+            assert iso.is_total() and iso.is_injective()
+            assert all(g.nodes[a] == h.nodes[b] for a, b in iso.node_map.items())
+
+
+def _cycles(tg: TypeGraph, lengths: tuple[int, ...], turn: int = 0) -> TypedGraph:
+    """Disjoint next-cycles; `turn` rotates which node carries which id."""
+    b = GraphBuilder(tg)
+    for c, n in enumerate(lengths):
+        for i in range(n):
+            b.node(f"c{c}v{i}", "Object")
+        for i in range(n):
+            src, trg = (i + turn) % n, (i + turn + 1) % n
+            b.edge(f"c{c}e{i}", "next", f"c{c}v{src}", f"c{c}v{trg}")
+    return b.build()
+
+
+@pytest.mark.parametrize("one, many", [((6,), (3, 3)), ((30,), (10, 10, 10))])
+def test_cycles_the_signature_cannot_separate(one, many):
+    # every node of both graphs has one next edge in and one out, so the
+    # signatures agree and only the search can tell them apart
+    tg = linked_list_tg()
+    ring, rings = _cycles(tg, one), _cycles(tg, many)
+    turned = _cycles(tg, one, turn=1)
+    assert find_isomorphism(ring, rings) is None
+    assert find_isomorphism(rings, ring) is None
+    assert find_isomorphism(ring, turned) is not None
+
+    members = IsoSet()
+    assert members.add(ring) and members.add(rings)
+    assert not members.add(turned) and not members.add(_cycles(tg, many, turn=2))
+    assert len(members) == 2 and list(members) == [ring, rings]
+
+    sem = SemSet()
+    sem.add(ring, ring)
+    assert sem.contains(turned, ring) and sem.contains(ring, turned)
+    assert not sem.contains(rings, ring)
+    assert not sem.contains(ring, rings)
 
 
 def test_round_trip_identity():
