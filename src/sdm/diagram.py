@@ -21,6 +21,7 @@ from .graph import (
     GraphError,
     TypedGraph,
     TypeGraph,
+    _check_names,
     graph_from_dict,
 )
 from .rewrite import Rule, rule_from_dict
@@ -351,6 +352,9 @@ def _patterns_from_entries(
                 raise FormatError(f"pattern entry {entry!r} is not an object")
             vars_ = entry.get("vars", [])
             marks = [(v["elem"], v["name"], v.get("bound")) for v in vars_]
+            for elem, name, _ in marks:
+                _check_names("pattern variable", elem, name)
+            _check_names("pattern node", entry.get("node"))
             rows.append((entry.get("node"), entry["rule"], marks))
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad pattern entry: {exc!r}") from exc
@@ -411,6 +415,8 @@ def diagram_from_dict(data: dict) -> StoryDiagram:
         params = [(p["name"], p["type"]) for p in data["params"]]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad params entry: {exc!r}") from exc
+    for param in params:
+        _check_names("params entry", *param)
     if len(params) != 1 or params[0][0] != "this":
         raise DiagramError("params must be exactly [this]")
     if params[0][1] not in tg.node_types:

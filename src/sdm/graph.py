@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -20,6 +22,13 @@ class GraphError(Exception):
 
 class FormatError(Exception):
     """Malformed or inconsistent serialized input."""
+
+
+def _check_names(what: str, *values: object) -> None:
+    """FormatError unless every value, an id or a type name, is a string."""
+    for value in values:
+        if not isinstance(value, str):
+            raise FormatError(f"{what}: expected a string, got {value!r}")
 
 
 # process-wide revision stamps, used only for stale-match detection
@@ -75,6 +84,8 @@ class TypeGraph:
         return False
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, TypeGraph):
             return NotImplemented
         return (
@@ -111,13 +122,17 @@ class TypeGraph:
         edge_types: dict[str, EdgeType] = {}
         try:
             for entry in raw_nodes:
-                if entry["name"] in node_types:
-                    raise FormatError(f"duplicate node type {entry['name']!r}")
-                node_types[entry["name"]] = entry.get("parent")
+                ntype, parent = entry["name"], entry.get("parent")
+                _check_names("node type", ntype, *([] if parent is None else [parent]))
+                if ntype in node_types:
+                    raise FormatError(f"duplicate node type {ntype!r}")
+                node_types[ntype] = parent
             for entry in raw_edges:
-                if entry["name"] in edge_types:
-                    raise FormatError(f"duplicate edge type {entry['name']!r}")
-                edge_types[entry["name"]] = EdgeType(entry["src"], entry["trg"])
+                etype, src, trg = entry["name"], entry["src"], entry["trg"]
+                _check_names("edge type", etype, src, trg)
+                if etype in edge_types:
+                    raise FormatError(f"duplicate edge type {etype!r}")
+                edge_types[etype] = EdgeType(src, trg)
         except (KeyError, TypeError) as exc:
             raise FormatError(f"bad type graph entry: {exc!r}") from exc
         try:
@@ -135,6 +150,24 @@ class Edge:
     trg: str
 
 
+# ids that rule application creates: n#k for nodes, e#k for edges
+_FRESH_ID = re.compile(r"^([ne])#(\d+)$")
+
+
+def _fresh_mark(ids, kind: str) -> int:
+    """The largest k among the ids shaped like kind#k, 0 if none."""
+    marks = (int(m[2]) for i in ids if (m := _FRESH_ID.match(i)) and m[1] == kind)
+    return max(marks, default=0)
+
+
+def _spliced(entries: list, eid: str, e: Optional[Edge]) -> list:
+    """A copy of an id-sorted adjacency list without edge eid, or with e as eid."""
+    i = bisect_left(entries, (eid,))
+    if e is None:
+        return entries[:i] + entries[i + 1 :]
+    return entries[:i] + [(eid, e)] + entries[i:]
+
+
 class TypedGraph:
     """Directed typed multigraph. Treat as immutable once built."""
 
@@ -149,6 +182,7 @@ class TypedGraph:
         self.edges = dict(edges)
         self.revision = next(_revision_counter)
         self._adjacency: Optional[tuple[dict, dict]] = None
+        self._marks: Optional[tuple[int, int]] = None
         overlap = self.nodes.keys() & self.edges.keys()
         if overlap:
             raise GraphError(f"ids used for both nodes and edges: {sorted(overlap)}")
@@ -156,15 +190,65 @@ class TypedGraph:
             if e.src not in self.nodes or e.trg not in self.nodes:
                 raise GraphError(f"edge {eid!r} references missing endpoint")
 
+    @classmethod
+    def _derive(
+        cls, host: "TypedGraph", gone: set[str], new_nodes: dict, new_edges: dict
+    ) -> "TypedGraph":
+        """The host minus the gone ids plus the new elements, sharing its
+        untouched adjacency lists and fresh-id marks. From a valid host,
+        checking only the change keeps every property `__init__` checks."""
+        g = cls.__new__(cls)
+        g.tg, g.nodes, g.edges = host.tg, dict(host.nodes), dict(host.edges)
+        g.revision = next(_revision_counter)
+        outs, ins = g._adjacency = tuple(dict(side) for side in host._index())
+        for x in gone:
+            if x in g.nodes:
+                del g.nodes[x]
+                if any(eid not in gone for eid, _ in outs.pop(x, []) + ins.pop(x, [])):
+                    raise GraphError(f"deleted node {x!r} keeps an incident edge")
+                continue
+            e = g.edges.pop(x)
+            if e.src not in gone:
+                outs[e.src] = _spliced(outs[e.src], x, None)
+            if e.trg not in gone:
+                ins[e.trg] = _spliced(ins[e.trg], x, None)
+        for nid, ntype in new_nodes.items():
+            if nid in g.nodes or nid in g.edges:
+                raise GraphError(f"created id {nid!r} is already in use")
+            g.nodes[nid] = ntype
+        for eid, e in new_edges.items():
+            if eid in g.nodes or eid in g.edges:
+                raise GraphError(f"created id {eid!r} is already in use")
+            if e.src not in g.nodes or e.trg not in g.nodes:
+                raise GraphError(f"edge {eid!r} references missing endpoint")
+            g.edges[eid] = e
+            outs[e.src] = _spliced(outs.get(e.src, []), eid, e)
+            ins[e.trg] = _spliced(ins.get(e.trg, []), eid, e)
+        g._marks = None  # unknown: scanned on first use
+        if host._marks is not None:
+            n_mark, e_mark = host._marks
+            gone_n, gone_e = _fresh_mark(gone, "n"), _fresh_mark(gone, "e")
+            # deleting the holder of a nonzero mark may lower that mark
+            if not (gone_n == n_mark > 0 or gone_e == e_mark > 0):
+                new_n, new_e = _fresh_mark(new_nodes, "n"), _fresh_mark(new_edges, "e")
+                g._marks = (max(n_mark, new_n), max(e_mark, new_e))
+        return g
+
     def node_ids(self) -> list[str]:
         return sorted(self.nodes)
 
     def edge_ids(self) -> list[str]:
         return sorted(self.edges)
 
+    def _fresh_marks(self) -> tuple[int, int]:
+        """The largest k among `n#k` node ids and among `e#k` edge ids, 0 if none."""
+        if self._marks is None:
+            self._marks = (_fresh_mark(self.nodes, "n"), _fresh_mark(self.edges, "e"))
+        return self._marks
+
     def _index(self) -> tuple[dict, dict]:
-        # built on the first adjacency query; valid because the graph
-        # never changes after construction
+        # built on the first adjacency query unless derived from a host's;
+        # valid because the graph never changes after construction
         if self._adjacency is None:
             outs: dict[str, list[tuple[str, Edge]]] = {}
             ins: dict[str, list[tuple[str, Edge]]] = {}
@@ -286,12 +370,13 @@ class PartialMorphism:
         self.dst = dst
         self.node_map = dict(node_map)
         self.edge_map = dict(edge_map)
+        typed = src.tg == dst.tg
         for l, r in self.node_map.items():
             if l not in src.nodes:
                 raise GraphError(f"morphism maps unknown source node {l!r}")
             if r not in dst.nodes:
                 raise GraphError(f"morphism maps node {l!r} to unknown node {r!r}")
-            if src.tg == dst.tg and not src.tg.conforms(
+            if typed and not src.tg.conforms(
                 dst.nodes[r], src.nodes[l]
             ):
                 raise GraphError(
@@ -303,13 +388,13 @@ class PartialMorphism:
                 raise GraphError(f"morphism maps unknown source edge {l!r}")
             if r not in dst.edges:
                 raise GraphError(f"morphism maps edge {l!r} to unknown edge {r!r}")
-            le, re = src.edges[l], dst.edges[r]
-            if le.type != re.type:
+            le, ri = src.edges[l], dst.edges[r]
+            if le.type != ri.type:
                 raise GraphError(f"morphism changes type of edge {l!r}")
             # domain must be subgraph-closed and structure must commute
             if le.src not in self.node_map or le.trg not in self.node_map:
                 raise GraphError(f"edge {l!r} in domain but an endpoint is not")
-            if self.node_map[le.src] != re.src or self.node_map[le.trg] != re.trg:
+            if self.node_map[le.src] != ri.src or self.node_map[le.trg] != ri.trg:
                 raise GraphError(f"morphism does not commute on edge {l!r}")
 
     def is_total(self) -> bool:
@@ -551,12 +636,15 @@ def graph_from_dict(data: dict, tg: TypeGraph) -> TypedGraph:
         raise FormatError(
             f"graph declares type graph {declared!r}, expected {tg.name!r}"
         )
+    if not all(isinstance(data.get(key, []), list) for key in ("nodes", "edges")):
+        raise FormatError("graph nodes and edges must be lists")
     nodes: dict[str, str] = {}
     for entry in data.get("nodes", []):
         try:
             nid, ntype = entry["id"], entry["type"]
         except (KeyError, TypeError) as exc:
             raise FormatError(f"bad node entry {entry!r}") from exc
+        _check_names("node entry", nid, ntype)
         if nid in nodes:
             raise FormatError(f"duplicate node id {nid!r}")
         nodes[nid] = ntype
@@ -567,10 +655,9 @@ def graph_from_dict(data: dict, tg: TypeGraph) -> TypedGraph:
             edge = Edge(entry["type"], entry["src"], entry["trg"])
         except (KeyError, TypeError) as exc:
             raise FormatError(f"bad edge entry {entry!r}") from exc
+        _check_names("edge entry", eid, edge.type, edge.src, edge.trg)
         if eid in edges or eid in nodes:
             raise FormatError(f"duplicate id {eid!r}")
-        if edge.src not in nodes or edge.trg not in nodes:
-            raise FormatError(f"edge {eid!r} references missing endpoint")
         edges[eid] = edge
     try:
         g = TypedGraph(tg, nodes, edges)

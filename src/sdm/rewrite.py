@@ -8,8 +8,8 @@ enumerated in lexicographic order so every consumer is deterministic.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .graph import (
@@ -20,6 +20,7 @@ from .graph import (
     PartialMorphism,
     TypedGraph,
     TypeGraph,
+    _check_names,
     _enumerate_monos,
     graph_from_dict,
     iso_signature,
@@ -201,20 +202,20 @@ def find_matches(
     return matches
 
 
-_FRESH_NODE = re.compile(r"^n#(\d+)$")
-_FRESH_EDGE = re.compile(r"^e#(\d+)$")
+class _Survivors(PartialMorphism):
+    """Identity on what survives an application; a morphism by
+    construction, unchecked, whose maps are built when first read."""
 
+    def __init__(self, src: TypedGraph, dst: TypedGraph, deleted: frozenset) -> None:
+        self.src, self.dst, self._deleted = src, dst, deleted
 
-def _next_fresh(host: TypedGraph) -> tuple[int, int]:
-    n = max(
-        (int(m.group(1)) for nid in host.nodes if (m := _FRESH_NODE.match(nid))),
-        default=0,
-    )
-    e = max(
-        (int(m.group(1)) for eid in host.edges if (m := _FRESH_EDGE.match(eid))),
-        default=0,
-    )
-    return n + 1, e + 1
+    @cached_property
+    def node_map(self) -> dict[str, str]:
+        return {n: n for n in self.src.nodes if n not in self._deleted}
+
+    @cached_property
+    def edge_map(self) -> dict[str, str]:
+        return {e: e for e in self.src.edges if e not in self._deleted}
 
 
 def apply_rule(rule: Rule, match: Match, host: TypedGraph) -> ApplyResult:
@@ -223,7 +224,8 @@ def apply_rule(rule: Rule, match: Match, host: TypedGraph) -> ApplyResult:
     Deleted elements are the images of lhs elements outside the rule
     mapping plus every edge incident to a deleted node. Survivors keep
     their ids; created elements get n#k / e#k ids numbered past any
-    already present in the host.
+    already present in the host. Deriving the result from the host makes
+    an application cost what the rule touches.
     """
     if match.rule is not rule:
         raise GraphError("match was produced for a different rule")
@@ -231,62 +233,39 @@ def apply_rule(rule: Rule, match: Match, host: TypedGraph) -> ApplyResult:
         raise StaleMatchError("host changed since the match was found")
 
     deleted_nodes = {match.node_map[n] for n in rule.deleted_lhs_nodes()}
-    deleted_edges = {
+    deleted = deleted_nodes | {
         match.edge_map[e]
         for e in rule.lhs.edge_ids()
         if e not in rule.mapping.edge_map
     }
-    for eid, e in host.edges.items():
-        if e.src in deleted_nodes or e.trg in deleted_nodes:
-            deleted_edges.add(eid)
+    for n in deleted_nodes:
+        deleted.update(eid for eid, _ in host.out_edges(n) + host.in_edges(n))
 
-    nodes = {
-        nid: t for nid, t in host.nodes.items() if nid not in deleted_nodes
-    }
-    edges = {
-        eid: e for eid, e in host.edges.items() if eid not in deleted_edges
-    }
-
-    next_n, next_e = _next_fresh(host)
-    rhs_node_map: dict[str, str] = {}
-    for ln, rn in rule.mapping.node_map.items():
-        rhs_node_map[rn] = match.node_map[ln]
-    created: set[str] = set()
+    n_mark, e_mark = host._fresh_marks()
+    rhs_node_map = {r: match.node_map[l] for l, r in rule.mapping.node_map.items()}
+    new_nodes: dict[str, str] = {}
     for rn in rule.created_rhs_nodes():
-        nid = f"n#{next_n}"
-        next_n += 1
-        nodes[nid] = rule.rhs.nodes[rn]
-        rhs_node_map[rn] = nid
-        created.add(nid)
-
-    rhs_edge_map: dict[str, str] = {}
-    for le, re_ in rule.mapping.edge_map.items():
-        rhs_edge_map[re_] = match.edge_map[le]
-    preserved_rhs_edges = set(rule.mapping.edge_map.values())
+        n_mark += 1
+        rhs_node_map[rn] = f"n#{n_mark}"
+        new_nodes[rhs_node_map[rn]] = rule.rhs.nodes[rn]
+    rhs_edge_map = {r: match.edge_map[l] for l, r in rule.mapping.edge_map.items()}
+    new_edges: dict[str, Edge] = {}
     for reid in rule.rhs.edge_ids():
-        if reid in preserved_rhs_edges:
+        if reid in rhs_edge_map:  # preserved
             continue
         redge = rule.rhs.edges[reid]
-        eid = f"e#{next_e}"
-        next_e += 1
-        edges[eid] = Edge(
+        e_mark += 1
+        rhs_edge_map[reid] = f"e#{e_mark}"
+        new_edges[rhs_edge_map[reid]] = Edge(
             redge.type, rhs_node_map[redge.src], rhs_node_map[redge.trg]
         )
-        rhs_edge_map[reid] = eid
-        created.add(eid)
 
-    result = TypedGraph(host.tg, nodes, edges)
-    comorphism = PartialMorphism(
-        host,
-        result,
-        {n: n for n in host.nodes if n not in deleted_nodes},
-        {e: e for e in host.edges if e not in deleted_edges},
-    )
+    result = TypedGraph._derive(host, deleted, new_nodes, new_edges)
     return ApplyResult(
         result=result,
-        comorphism=comorphism,
-        created=created,
-        deleted=deleted_nodes | deleted_edges,
+        comorphism=_Survivors(host, result, frozenset(deleted)),
+        created=set(new_nodes) | set(new_edges),
+        deleted=deleted,
         rhs_node_map=rhs_node_map,
         rhs_edge_map=rhs_edge_map,
     )
@@ -348,6 +327,21 @@ def rule_to_dict(rule: Rule) -> dict:
     return data
 
 
+def _split_pairs(pairs: list, lhs: TypedGraph, what: str) -> tuple[dict, dict]:
+    """Node and edge maps from (lhs element, image) pairs read from a file."""
+    node_map: dict[str, str] = {}
+    edge_map: dict[str, str] = {}
+    for l, r in pairs:
+        _check_names(f"{what} pair", l, r)
+        if l in lhs.nodes:
+            node_map[l] = r
+        elif l in lhs.edges:
+            edge_map[l] = r
+        else:
+            raise FormatError(f"{what} names unknown lhs element {l!r}")
+    return node_map, edge_map
+
+
 def rule_from_dict(data: dict, tg: TypeGraph) -> Rule:
     try:
         name = data["name"]
@@ -363,32 +357,16 @@ def rule_from_dict(data: dict, tg: TypeGraph) -> Rule:
         ]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"rule missing field: {exc}") from exc
-    node_map: dict[str, str] = {}
-    edge_map: dict[str, str] = {}
-    for l, r in pairs:
-        if l in lhs.nodes:
-            node_map[l] = r
-        elif l in lhs.edges:
-            edge_map[l] = r
-        else:
-            raise FormatError(f"rule map names unknown lhs element {l!r}")
     try:
-        mapping = PartialMorphism(lhs, rhs, node_map, edge_map)
+        mapping = PartialMorphism(lhs, rhs, *_split_pairs(pairs, lhs, "rule map"))
     except GraphError as exc:
         raise FormatError(str(exc)) from exc
     nacs = []
     for ngraph, embed in raw_nacs:
-        nnodes: dict[str, str] = {}
-        nedges: dict[str, str] = {}
-        for l, n in embed:
-            if l in lhs.nodes:
-                nnodes[l] = n
-            elif l in lhs.edges:
-                nedges[l] = n
-            else:
-                raise FormatError(f"NAC embed names unknown lhs element {l!r}")
         try:
-            embedding = PartialMorphism(lhs, ngraph, nnodes, nedges)
+            embedding = PartialMorphism(
+                lhs, ngraph, *_split_pairs(embed, lhs, "NAC embed")
+            )
             nacs.append(NAC(ngraph, embedding))
         except GraphError as exc:
             raise FormatError(str(exc)) from exc

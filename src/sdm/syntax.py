@@ -310,21 +310,6 @@ class CfgValidation:
     base: Optional[TypedGraph] = None  # the embedded copy of the start graph
 
 
-def _undo_application(
-    rule: Rule,
-    node_map: dict[str, str],
-    edge_map: dict[str, str],
-    g: TypedGraph,
-    restore_id: str,
-) -> TypedGraph:
-    drop_nodes = {node_map[n] for n in rule.rhs.nodes if n not in ("a", "b")}
-    drop_edges = set(edge_map.values())
-    nodes = {n: t for n, t in g.nodes.items() if n not in drop_nodes}
-    edges = {e: d for e, d in g.edges.items() if e not in drop_edges}
-    edges[restore_id] = Edge(NEXT, node_map["a"], node_map["b"])
-    return TypedGraph(g.tg, nodes, edges)
-
-
 def validate_control_flow(g: TypedGraph) -> CfgValidation:
     """Decide grammar membership by reducing g back to the start graph.
 
@@ -378,9 +363,12 @@ def validate_control_flow(g: TypedGraph) -> CfgValidation:
                         break
                 if not exact:
                     continue
+                # undo: drop created nodes and matched edges, restore a -> b
                 restore_counter[0] += 1
-                reduced = _undo_application(
-                    rule, node_map, edge_map, cur, f"r#{restore_counter[0]}"
+                drop = {node_map[n] for n in created} | set(edge_map.values())
+                restore = Edge(NEXT, node_map["a"], node_map["b"])
+                reduced = TypedGraph._derive(
+                    cur, drop, {}, {f"r#{restore_counter[0]}": restore}
                 )
                 found = search(reduced)
                 if found is not None:

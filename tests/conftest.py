@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import networkx as nx
 import pytest
 
 from sdm.graph import Edge, EdgeType, GraphBuilder, TypedGraph, TypeGraph
@@ -75,3 +76,13 @@ def shuffled_copy(rng: random.Random, g: TypedGraph) -> TypedGraph:
     }
     nodes = {node_names[n]: t for n, t in g.nodes.items()}
     return TypedGraph(g.tg, nodes, edges)
+
+
+def as_networkx(g: TypedGraph) -> nx.MultiDiGraph:
+    """The same multigraph in networkx, with node and edge types as `type`."""
+    out = nx.MultiDiGraph()
+    for nid, ntype in g.nodes.items():
+        out.add_node(nid, type=ntype)
+    for e in g.edges.values():
+        out.add_edge(e.src, e.trg, type=e.type)
+    return out

@@ -4,12 +4,14 @@ These deliberately share no code with the package: isomorphism by
 exhaustive bijection search, matching by exhaustive injective map
 enumeration, rewriting by a naive delete-then-glue construction, and the
 package's earlier backtracking matcher, which scans the sorted edge set
-for every adjacency query and sorts its full match list.
+for every adjacency query and sorts its full match list, and the
+earlier fresh-id scan over every id of a graph.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from typing import Iterator, Optional
 
 from sdm.graph import Edge, GraphError, PartialMorphism, TypedGraph
@@ -279,3 +281,17 @@ def reference_matches(
         )
     )
     return matches[:1] if first else matches
+
+
+def reference_next_fresh(g: TypedGraph) -> tuple[int, int]:
+    """The numbers of the next n#k node id and e#k edge id rule application
+    creates, by scanning every id of the graph."""
+    n = max(
+        (int(m.group(1)) for nid in g.nodes if (m := re.match(r"^n#(\d+)$", nid))),
+        default=0,
+    )
+    e = max(
+        (int(m.group(1)) for eid in g.edges if (m := re.match(r"^e#(\d+)$", eid))),
+        default=0,
+    )
+    return n + 1, e + 1

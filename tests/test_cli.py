@@ -70,6 +70,20 @@ MALFORMED = {
     "map-pair-without-r": lambda d: d["patterns"][0]["rule"]["map"][0].pop("r"),
     "node-type-without-name": lambda d: d["typegraph"]["node_types"][0].pop("name"),
     "edge-types-as-int": lambda d: d["typegraph"].update(edge_types=7),
+    # ids and type names that are not strings
+    "cfg-node-id-as-list": lambda d: d["cfg"]["nodes"][1].update(id=["story"]),
+    "cfg-edge-id-as-int": lambda d: d["cfg"]["edges"][0].update(id=7),
+    "cfg-nodes-as-null": lambda d: d["cfg"].update(nodes=None),
+    "pattern-node-as-list": lambda d: d["patterns"][0].update(node=["story"]),
+    "var-name-as-list": lambda d: d["patterns"][0]["vars"][0].update(name=["this"]),
+    "param-type-as-list": lambda d: d["params"][0].update(type=["Object"]),
+    "map-pair-l-as-list": lambda d: d["patterns"][0]["rule"]["map"][0].update(l=["t"]),
+    "node-type-parent-as-list": lambda d: d["typegraph"]["node_types"][0].update(
+        parent=["Object"]
+    ),
+    "edge-type-src-as-list": lambda d: d["typegraph"]["edge_types"][0].update(
+        src=["Object"]
+    ),
 }
 
 
@@ -84,6 +98,26 @@ def test_malformed_diagram_shapes_exit_three(capsys, tmp_path, shape, command):
         argv = ["validate", str(path)]
     else:
         argv = run_args(str(path), LIST3, tmp_path, "--this", "o1")
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert err.startswith("error: ")
+
+
+# each shape damages one field of the list3 model, which only `run` reads
+MALFORMED_MODEL = {
+    "node-id-as-list": lambda m: m["nodes"][0].update(id=["o1"]),
+    "edge-src-as-list": lambda m: m["edges"][0].update(src=["o1"]),
+    "nodes-as-int": lambda m: m.update(nodes=5),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED_MODEL))
+def test_malformed_model_shapes_exit_three(capsys, tmp_path, shape):
+    data = json.loads((FIXTURES / "list3.model.json").read_text())
+    MALFORMED_MODEL[shape](data)
+    path = tmp_path / "bad.model.json"
+    path.write_text(json.dumps(data))
+    argv = run_args(MINIMAL, str(path), tmp_path, "--this", "o1")
     code, _, err = run_cli(capsys, *argv)
     assert code == 3
     assert err.startswith("error: ")

@@ -28,7 +28,14 @@ from sdm.graph import (
     validate_typing,
 )
 
-from .conftest import linked_list_tg, make_list, random_graph, shuffled_copy, zoo_tg
+from .conftest import (
+    as_networkx,
+    linked_list_tg,
+    make_list,
+    random_graph,
+    shuffled_copy,
+    zoo_tg,
+)
 from .oracles import brute_force_isomorphic
 
 
@@ -65,6 +72,27 @@ def test_graph_rejects_dangling_endpoint():
     tg = linked_list_tg()
     with pytest.raises(GraphError):
         TypedGraph(tg, {"a": "Object"}, {"e": Edge("next", "a", "ghost")})
+
+
+@pytest.mark.parametrize(
+    "gone, new_nodes, new_edges",
+    [
+        ({"o2"}, {}, {}),  # o2 keeps l1 and l2
+        ({"o2", "l1"}, {}, {}),  # o2 keeps l2
+        (set(), {"o1": "Object"}, {}),  # a node id taken by a node
+        (set(), {"l1": "Object"}, {}),  # a node id taken by an edge
+        (set(), {}, {"o1": Edge("next", "o1", "o2")}),  # an edge id taken
+        (set(), {"x": "Object"}, {"x": Edge("next", "o1", "o2")}),  # one id twice
+        (set(), {}, {"x": Edge("next", "o1", "ghost")}),  # a missing endpoint
+        ({"o3", "l2"}, {}, {"x": Edge("next", "o1", "o3")}),  # a deleted endpoint
+    ],
+)
+def test_derive_rejects_changes_that_break_a_graph(gone, new_nodes, new_edges):
+    # a derived graph is checked only where it changed; each check keeps a
+    # property that TypedGraph's constructor checks on every element
+    host = make_list(linked_list_tg(), 3)
+    with pytest.raises(GraphError):
+        TypedGraph._derive(host, gone, new_nodes, new_edges)
 
 
 def test_builder_rejects_duplicates():
@@ -202,17 +230,9 @@ def _swapped(rng: random.Random, g: TypedGraph) -> TypedGraph:
 
 
 def _networkx_isomorphic(g: TypedGraph, h: TypedGraph) -> bool:
-    def as_nx(graph: TypedGraph) -> nx.MultiDiGraph:
-        out = nx.MultiDiGraph()
-        for nid, ntype in graph.nodes.items():
-            out.add_node(nid, type=ntype)
-        for e in graph.edges.values():
-            out.add_edge(e.src, e.trg, type=e.type)
-        return out
-
     return nx.is_isomorphic(
-        as_nx(g),
-        as_nx(h),
+        as_networkx(g),
+        as_networkx(h),
         node_match=nx.isomorphism.categorical_node_match("type", None),
         edge_match=nx.isomorphism.categorical_multiedge_match("type", None),
     )

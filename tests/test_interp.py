@@ -10,7 +10,13 @@ import pytest
 import sdm.interp
 from sdm.cli import main
 from sdm.diagram import load_story_diagram
-from sdm.graph import GraphError, parse_graph, serialize_graph, validate_typing
+from sdm.graph import (
+    GraphError,
+    graph_from_dict,
+    parse_graph,
+    serialize_graph,
+    validate_typing,
+)
 from sdm.interp import (
     CONSERVATIVE,
     ERROR,
@@ -625,3 +631,25 @@ def test_variable_index_keeps_state_graph_bytes(
     indexed = state_graphs()
     monkeypatch.setattr(Configuration, "_variable_for", _linear_variable_for)
     assert state_graphs() == indexed
+
+
+def test_a_step_shares_every_adjacency_list_it_does_not_touch(while_star):
+    # a step costs what its rule touches: on star-200 the head step
+    # changes nothing, and the body step cuts one spoke, so only the
+    # center's out-list and that spoke's in-list may be new objects
+    def new_lists(host, result) -> tuple[set, set]:
+        return tuple(
+            {n for n in result.nodes if after.get(n) is not before.get(n)}
+            for before, after in zip(host._index(), result._index())
+        )
+
+    c = initialize(while_star, graph_from_dict(_star_model(200), while_star.tg), "c")
+    while c.token_at != "head":
+        step(c)
+    host = c.model
+    step(c)  # head: an identity rule binds x to a spoke
+    assert new_lists(host, c.model) == (set(), set())
+    host = c.model
+    step(c)  # body: cuts c -> x
+    [cut] = host.edges.keys() - c.model.edges.keys()
+    assert new_lists(host, c.model) == ({"c"}, {host.edges[cut].trg})

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,8 +35,13 @@ from sdm.rewrite import (
     rule_to_dict,
 )
 
-from .conftest import linked_list_tg, make_list, random_graph, zoo_tg
-from .oracles import brute_force_matches, naive_pushout, reference_matches
+from .conftest import as_networkx, linked_list_tg, make_list, random_graph, zoo_tg
+from .oracles import (
+    brute_force_matches,
+    naive_pushout,
+    reference_matches,
+    reference_next_fresh,
+)
 
 
 def _identity_rule(tg, *node_types: str) -> Rule:
@@ -287,6 +293,56 @@ def test_match_list_equals_the_reference_matcher_in_order(seed):
         assert _maps(head) == want[:1]
 
 
+def _networkx_node_maps(pattern: TypedGraph, host: TypedGraph) -> set:
+    """Node maps of the pattern's monomorphisms into the host, by networkx:
+    a node matches a node whose type conforms to its own, and each pattern
+    edge bundle needs as many host edges of every type it carries."""
+    tg = host.tg
+
+    def node_match(host_node: dict, pattern_node: dict) -> bool:
+        return tg.conforms(host_node["type"], pattern_node["type"])
+
+    def edge_match(host_bundle: dict, pattern_bundle: dict) -> bool:
+        def per_type(bundle: dict) -> dict:
+            counts: dict = {}
+            for data in bundle.values():
+                counts[data["type"]] = counts.get(data["type"], 0) + 1
+            return counts
+
+        have = per_type(host_bundle)
+        return all(have.get(t, 0) >= n for t, n in per_type(pattern_bundle).items())
+
+    matcher = nx.isomorphism.MultiDiGraphMatcher(
+        as_networkx(host), as_networkx(pattern), node_match, edge_match
+    )
+    return {
+        frozenset((p, h) for h, p in found.items())
+        for found in matcher.subgraph_monomorphisms_iter()
+    }
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_match_node_maps_equal_networkx_monomorphisms(seed):
+    # NAC-free rules on zoo multigraphs with inheritance, parallel edges
+    # and self-loops; networkx knows nothing of the package's search
+    rng = random.Random(seed)
+    tg = zoo_tg()
+    host = random_graph(rng, tg, 6, 12)
+    if rng.random() < 0.3:
+        lhs = random_graph(rng, tg, 3, 4)
+    else:
+        lhs = _subgraph_pattern(rng, host)
+    rule = Rule(
+        "probe",
+        lhs,
+        lhs,
+        PartialMorphism(lhs, lhs, {n: n for n in lhs.nodes}, {e: e for e in lhs.edges}),
+    )
+    got = {frozenset(m.node_map.items()) for m in find_matches(rule, host)}
+    assert got == _networkx_node_maps(lhs, host)
+
+
 def _nac_edge_rule(tg) -> Rule:
     lhs = GraphBuilder(tg).node("this", "Object").node("next", "Object").build()
     rhs = GraphBuilder(tg).node("this", "Object").node("next", "Object").build()
@@ -361,6 +417,23 @@ def test_apply_creates_fresh_ids_deterministically():
     out2 = apply_rule(rule, match, g2)
     assert out2.created == {"n#2", "e#2"}
     assert out2.rhs_node_map["y"] == "n#2"
+
+
+def test_deleting_the_highest_fresh_ids_frees_their_numbers():
+    # ids come from the survivors' highest n#k / e#k, so deleting the
+    # holder of a mark hands its number out again
+    tg = linked_list_tg()
+    append, delete = _append_rule(tg), _delete_rule(tg)
+
+    def apply_at(rule, host, node):
+        return apply_rule(rule, find_matches(rule, host, {"x": node})[0], host)
+
+    host = make_list(tg, 1)
+    for _ in range(2):
+        host = apply_at(append, host, "o1").result
+    assert set(host.nodes) == {"o1", "n#1", "n#2"}
+    host = apply_at(delete, host, "n#2").result
+    assert apply_at(append, host, "o1").created == {"n#2", "e#2"}
 
 
 def test_apply_rejects_stale_match():
@@ -455,6 +528,51 @@ def test_apply_matches_naive_pushout_on_random_cases():
             dangling_seen += 1
         compared += 1
     assert dangling_seen > 5
+
+
+def _fresh_shaped(rng: random.Random, g: TypedGraph) -> TypedGraph:
+    """A copy of g whose ids look like the ids rule application creates."""
+    numbers = rng.sample(range(1, 60), len(g.nodes) + len(g.edges))
+    rename = {n: f"n#{k}" for n, k in zip(sorted(g.nodes), numbers)}
+    edges = {
+        f"e#{k}": Edge(e.type, rename[e.src], rename[e.trg])
+        for k, e in zip(numbers[len(g.nodes) :], g.edges.values())
+    }
+    return TypedGraph(g.tg, {rename[n]: t for n, t in g.nodes.items()}, edges)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_derived_graphs_equal_graphs_built_from_scratch(seed):
+    # a result derives its adjacency index and fresh-id marks from its
+    # host; chains of random rules, many deleting n#k / e#k elements,
+    # must leave both as a from-scratch build and a full id scan give them
+    rng = random.Random(seed)
+    tg = zoo_tg()
+    g = random_graph(rng, tg, 7, 10)
+    if rng.random() < 0.6:
+        g = _fresh_shaped(rng, g)
+    applied = 0
+    for _ in range(40):
+        rule = _random_rule(rng, tg)
+        matches = find_matches(rule, g)
+        if not matches:
+            continue
+        before = {n: (list(g.out_edges(n)), list(g.in_edges(n))) for n in g.nodes}
+        out = apply_rule(rule, rng.choice(matches), g)
+        h = out.result
+        scratch = TypedGraph(h.tg, h.nodes, h.edges)
+        for n in h.nodes:
+            assert h.out_edges(n) == scratch.out_edges(n)
+            assert h.in_edges(n) == scratch.in_edges(n)
+        assert tuple(mark + 1 for mark in h._fresh_marks()) == reference_next_fresh(h)
+        assert {n: (g.out_edges(n), g.in_edges(n)) for n in g.nodes} == before
+        assert out.comorphism.node_map == {n: n for n in g.nodes if n in h.nodes}
+        assert out.comorphism.edge_map == {e: e for e in g.edges if e in h.edges}
+        g = h
+        applied += 1
+        if applied == 6:
+            break
 
 
 def test_enumerate_language_counts_rooted_trees():
