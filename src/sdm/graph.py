@@ -183,6 +183,7 @@ class TypedGraph:
         self.revision = next(_revision_counter)
         self._adjacency: Optional[tuple[dict, dict]] = None
         self._marks: Optional[tuple[int, int]] = None
+        self._signature: Optional[tuple] = None
         overlap = self.nodes.keys() & self.edges.keys()
         if overlap:
             raise GraphError(f"ids used for both nodes and edges: {sorted(overlap)}")
@@ -200,6 +201,7 @@ class TypedGraph:
         g = cls.__new__(cls)
         g.tg, g.nodes, g.edges = host.tg, dict(host.nodes), dict(host.edges)
         g.revision = next(_revision_counter)
+        g._signature = None
         outs, ins = g._adjacency = tuple(dict(side) for side in host._index())
         for x in gone:
             if x in g.nodes:
@@ -537,19 +539,22 @@ def _enumerate_monos(
 
 
 def iso_signature(g: TypedGraph) -> tuple:
-    """Cheap isomorphism-invariant key for bucketing graphs."""
-    per_node = []
-    for nid in g.node_ids():
-        outs: dict[str, int] = {}
-        ins: dict[str, int] = {}
-        for _, e in g.out_edges(nid):
-            outs[e.type] = outs.get(e.type, 0) + 1
-        for _, e in g.in_edges(nid):
-            ins[e.type] = ins.get(e.type, 0) + 1
-        per_node.append(
-            (g.nodes[nid], tuple(sorted(outs.items())), tuple(sorted(ins.items())))
-        )
-    return (len(g.nodes), len(g.edges), tuple(sorted(per_node)))
+    """Cheap isomorphism-invariant key for bucketing graphs, computed
+    once per graph."""
+    if g._signature is None:
+        per_node = []
+        for nid in g.node_ids():
+            outs: dict[str, int] = {}
+            ins: dict[str, int] = {}
+            for _, e in g.out_edges(nid):
+                outs[e.type] = outs.get(e.type, 0) + 1
+            for _, e in g.in_edges(nid):
+                ins[e.type] = ins.get(e.type, 0) + 1
+            per_node.append(
+                (g.nodes[nid], tuple(sorted(outs.items())), tuple(sorted(ins.items())))
+            )
+        g._signature = (len(g.nodes), len(g.edges), tuple(sorted(per_node)))
+    return g._signature
 
 
 def find_isomorphism(g: TypedGraph, h: TypedGraph) -> Optional[PartialMorphism]:
@@ -576,9 +581,9 @@ class IsoSet:
     """Graphs, or tuples of graphs, kept once per isomorphism class.
 
     Members are bucketed by `iso_signature`, componentwise for tuples
-    and computed once per insert or lookup, and compared within a
-    bucket by `find_isomorphism`. Iteration runs bucket by bucket, in
-    insertion order.
+    and cached on each graph, and compared within a bucket by
+    `find_isomorphism`, except that an object matches itself without a
+    search. Iteration runs bucket by bucket, in insertion order.
     """
 
     def __init__(self) -> None:
@@ -591,7 +596,7 @@ class IsoSet:
         key = tuple(iso_signature(p) for p in parts)
         for member in self._buckets.get(key, ()):
             others = (member,) if isinstance(member, TypedGraph) else member
-            if all(find_isomorphism(a, b) for a, b in zip(parts, others)):
+            if all(a is b or find_isomorphism(a, b) for a, b in zip(parts, others)):
                 return key, True
         return key, False
 

@@ -276,7 +276,9 @@ def enumerate_language(grammar: GraphGrammar, max_nodes: int) -> LanguageResult:
 
     Intermediates above the bound are pruned, which only loses graphs
     when some rule shrinks node counts; that case is recorded as a
-    warning in the result.
+    warning in the result. Matches are injective, so every application
+    of a rule changes the node count by the same amount, and a rule
+    whose results would all be pruned is not matched at all.
     """
     if max_nodes < len(grammar.start.nodes):
         raise GraphError("max_nodes is below the start graph's node count")
@@ -290,11 +292,16 @@ def enumerate_language(grammar: GraphGrammar, max_nodes: int) -> LanguageResult:
     members = IsoSet()
     members.add(grammar.start)
     frontier = [grammar.start]
-    rules = sorted(grammar.rules, key=lambda r: r.name)
+    rules = [
+        (rule, len(rule.created_rhs_nodes()) - len(rule.deleted_lhs_nodes()))
+        for rule in sorted(grammar.rules, key=lambda r: r.name)
+    ]
     while frontier:
         next_frontier: list[TypedGraph] = []
         for g in frontier:
-            for rule in rules:
+            for rule, growth in rules:
+                if len(g.nodes) + growth > max_nodes:
+                    continue
                 for match in find_matches(rule, g):
                     h = apply_rule(rule, match, g).result
                     if len(h.nodes) <= max_nodes and members.add(h):

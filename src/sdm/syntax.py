@@ -310,6 +310,11 @@ class CfgValidation:
     base: Optional[TypedGraph] = None  # the embedded copy of the start graph
 
 
+def _degree(g: TypedGraph, n: str) -> int:
+    # a self-loop counts twice, once on each side
+    return len(g.out_edges(n)) + len(g.in_edges(n))
+
+
 def validate_control_flow(g: TypedGraph) -> CfgValidation:
     """Decide grammar membership by reducing g back to the start graph.
 
@@ -319,6 +324,13 @@ def validate_control_flow(g: TypedGraph) -> CfgValidation:
     edge. Every inverse strictly shrinks the graph, so the search is
     bounded; it backtracks over all rules and matches with an
     isomorphism-keyed memo of dead ends.
+
+    A match is exact when each created node's image has the node's
+    degree in the right-hand side, since the matched edges are an
+    injective subset of the image's incident edges. So the search for a
+    rule pins its first created node, which every rule links to `a`
+    through `e1`, to each host node of that exact degree, and tries the
+    exact matches in the matcher's lexicographic order.
     """
     report = validate_typing(g, SYNTAX_TYPE_GRAPH)
     if not report.ok:
@@ -330,8 +342,32 @@ def validate_control_flow(g: TypedGraph) -> CfgValidation:
     rules = sorted(
         syntax_rules(), key=lambda r: (-len(r.rhs.nodes), -len(r.rhs.edges), r.name)
     )
+    inverses = []
+    for rule in rules:
+        rhs = rule.rhs
+        created = [n for n in rhs.node_ids() if n not in ("a", "b")]
+        degree = {n: _degree(rhs, n) for n in created}
+        inverses.append((rule, created, degree, rhs.node_ids(), rhs.edge_ids()))
     failed = IsoSet()
     restore_counter = [0]
+
+    def exact_matches(cur: TypedGraph, rule, created, degree, node_ids, edge_ids):
+        anchor = created[0]  # n or c, linked to a through e1
+        found = []
+        for cand, ntype in cur.nodes.items():
+            if _degree(cur, cand) != degree[anchor]:
+                continue
+            if not cur.tg.conforms(ntype, rule.rhs.nodes[anchor]):
+                continue
+            for node_map, edge_map in _enumerate_monos(rule.rhs, cur, {anchor: cand}):
+                if all(_degree(cur, node_map[n]) == degree[n] for n in created):
+                    key = (
+                        tuple(node_map[n] for n in node_ids),
+                        tuple(edge_map[e] for e in edge_ids),
+                    )
+                    found.append((key, node_map, edge_map))
+        found.sort(key=lambda m: m[0])
+        return [(node_map, edge_map) for _, node_map, edge_map in found]
 
     def search(cur: TypedGraph) -> Optional[tuple[TypedGraph, list[DerivationStep]]]:
         if len(cur.nodes) == len(target.nodes):
@@ -340,29 +376,9 @@ def validate_control_flow(g: TypedGraph) -> CfgValidation:
             return None
         if len(cur.nodes) < len(target.nodes) or cur in failed:
             return None
-        for rule in rules:
-            created = [n for n in rule.rhs.node_ids() if n not in ("a", "b")]
-            for node_map, edge_map in _enumerate_monos(rule.rhs, cur, {}):
-                # inverse is exact only if each created-node image has no
-                # incident edges beyond the matched rule edges
-                exact = True
-                for rn in created:
-                    image = node_map[rn]
-                    incident = sum(
-                        1
-                        for e in cur.edges.values()
-                        if e.src == image or e.trg == image
-                    )
-                    wanted = sum(
-                        1
-                        for e in rule.rhs.edges.values()
-                        if e.src == rn or e.trg == rn
-                    )
-                    if incident != wanted:
-                        exact = False
-                        break
-                if not exact:
-                    continue
+        for inverse in inverses:
+            rule, created = inverse[:2]
+            for node_map, edge_map in exact_matches(cur, *inverse):
                 # undo: drop created nodes and matched edges, restore a -> b
                 restore_counter[0] += 1
                 drop = {node_map[n] for n in created} | set(edge_map.values())

@@ -7,6 +7,7 @@ only what matters. Fixture files on disk live under FIXTURES.
 
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 from sdm.diagram import (
@@ -15,7 +16,7 @@ from sdm.diagram import (
     analyze_scopes,
     validate_binding_marks,
 )
-from sdm.graph import GraphBuilder, PartialMorphism, TypedGraph, TypeGraph
+from sdm.graph import Edge, GraphBuilder, PartialMorphism, TypedGraph, TypeGraph
 from sdm.rewrite import Rule
 from sdm.syntax import SYNTAX_TYPE_GRAPH, classify_nodes, validate_control_flow
 
@@ -144,3 +145,104 @@ def joining_cfg() -> TypedGraph:
             ("e5", "next", "join", "stop"),
         ],
     )
+
+
+class GrownCfg:
+    """A control-flow graph grown by the grammar's insertions at `next`
+    edges, with node and edge ids that sort in creation order."""
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.nodes: dict[str, str] = {}
+        self.edges: dict[str, tuple[str, str, str]] = {}
+        start, story, stop = self._node("StartNode"), self._node("CFNode"), self._node("StopNode")
+        self._edge("next", start, story)
+        self.tail = self._edge("next", story, stop)
+
+    def _node(self, ntype: str) -> str:
+        self.count += 1
+        nid = f"c{self.count:04d}"
+        self.nodes[nid] = ntype
+        return nid
+
+    def _edge(self, etype: str, src: str, trg: str) -> str:
+        self.count += 1
+        eid = f"f{self.count:04d}"
+        self.edges[eid] = (etype, src, trg)
+        return eid
+
+    def insert_node(self, eid: str) -> tuple[str, str]:
+        """a -> b becomes a -> n -> b; returns a -> n and n -> b."""
+        _, a, b = self.edges.pop(eid)
+        n = self._node("CFNode")
+        return self._edge("next", a, n), self._edge("next", n, b)
+
+    def if_then(self, eid: str) -> tuple[str, str]:
+        """a -> c, c -success-> s -> b, c -failure-> b; returns a -> c and s -> b."""
+        _, a, b = self.edges.pop(eid)
+        c, s = self._node("CFNode"), self._node("CFNode")
+        self._edge("success", c, s)
+        self._edge("failure", c, b)
+        return self._edge("next", a, c), self._edge("next", s, b)
+
+    def while_body(self, eid: str) -> tuple[str, str]:
+        """a -> c, c -success-> x -> c, c -failure-> b; returns a -> c and x -> c."""
+        _, a, b = self.edges.pop(eid)
+        c, x = self._node("CFNode"), self._node("CFNode")
+        self._edge("success", c, x)
+        self._edge("failure", c, b)
+        return self._edge("next", a, c), self._edge("next", x, c)
+
+    def grow(self, size: int, blocks: list, pick: int) -> "GrownCfg":
+        # each block goes in at the edge the previous one returned; an odd
+        # leftover node becomes one plain story node
+        site, turn = self.tail, 0
+        while size - len(self.nodes) >= 2:
+            site = blocks[turn % len(blocks)](site)[pick]
+            turn += 1
+        while len(self.nodes) < size:
+            site = self.insert_node(site)[0]
+        return self
+
+    def mutate(self) -> "GrownCfg":
+        """Redirect the start edge past the first story node, which is
+        then unreachable."""
+        eid, (_, start, first) = next(
+            (eid, e) for eid, e in self.edges.items() if self.nodes[e[1]] == "StartNode"
+        )
+        (after,) = [d for _, s, d in self.edges.values() if s == first]
+        self.edges[eid] = ("next", start, after)
+        return self
+
+    def build(self) -> TypedGraph:
+        return cfg_of(self.nodes, [(e, t, s, d) for e, (t, s, d) in self.edges.items()])
+
+
+# chains and ladders put each block before the previous one; the nested
+# mix puts a loop in an if-then branch, an if-then in that loop's body,
+# and so on
+CFG_SHAPES = {
+    "chain": lambda g, n: g.grow(n, [g.insert_node], 0),
+    "ifthen": lambda g, n: g.grow(n, [g.if_then], 0),
+    "while": lambda g, n: g.grow(n, [g.while_body], 0),
+    "nested": lambda g, n: g.grow(n, [g.if_then, g.while_body], 1),
+}
+
+
+def cfg_of_shape(shape: str, size: int) -> GrownCfg:
+    return CFG_SHAPES[shape](GrownCfg(), size)
+
+
+def redirect_next_edge(rng: random.Random, g: TypedGraph) -> TypedGraph:
+    """A copy of g with one random `next` edge s -> t redirected to a
+    random successor of t."""
+    sites = [
+        (eid, e)
+        for eid, e in sorted(g.edges.items())
+        if e.type == "next" and g.out_edges(e.trg)
+    ]
+    eid, e = rng.choice(sites)
+    _, after = rng.choice(g.out_edges(e.trg))
+    edges = dict(g.edges)
+    edges[eid] = Edge("next", e.src, after.trg)
+    return TypedGraph(g.tg, g.nodes, edges)

@@ -6,6 +6,14 @@ enumeration, rewriting by a naive delete-then-glue construction, and the
 package's earlier backtracking matcher, which scans the sorted edge set
 for every adjacency query and sorts its full match list, and the
 earlier fresh-id scan over every id of a graph.
+
+Two more are the package's earlier versions of a fast path, kept to
+check that the fast path changes no result. They share the package's
+matcher, rewriting and `IsoSet`, and differ only in what the fast path
+changed: the control-flow validator that matches each inverse rule
+unpinned and scans every host edge to test exactness, and language
+enumeration that builds every application before pruning by the node
+bound.
 """
 
 from __future__ import annotations
@@ -14,8 +22,27 @@ import itertools
 import re
 from typing import Iterator, Optional
 
-from sdm.graph import Edge, GraphError, PartialMorphism, TypedGraph
-from sdm.rewrite import Match
+from sdm.graph import (
+    Edge,
+    GraphError,
+    IsoSet,
+    PartialMorphism,
+    TypedGraph,
+    _enumerate_monos,
+    find_isomorphism,
+    iso_signature,
+    validate_typing,
+)
+from sdm.rewrite import GraphGrammar, LanguageResult, Match, apply_rule, find_matches
+from sdm.syntax import (
+    ABSTRACT,
+    NEXT,
+    SYNTAX_TYPE_GRAPH,
+    CfgValidation,
+    DerivationStep,
+    start_graph,
+    syntax_rules,
+)
 
 
 def brute_force_isomorphic(g: TypedGraph, h: TypedGraph) -> bool:
@@ -295,3 +322,103 @@ def reference_next_fresh(g: TypedGraph) -> tuple[int, int]:
         default=0,
     )
     return n + 1, e + 1
+
+
+def reference_validate_control_flow(g: TypedGraph) -> CfgValidation:
+    """Membership by backtracking reduction to the start graph, matching
+    each inverse rule's right-hand side unpinned and testing exactness by
+    counting each created-node image's incident edges over all host edges."""
+    report = validate_typing(g, SYNTAX_TYPE_GRAPH)
+    if not report.ok:
+        return CfgValidation(False, "; ".join(report.violations))
+    if ABSTRACT in g.nodes.values():
+        return CfgValidation(False, "abstract node type instantiated")
+
+    target = start_graph()
+    rules = sorted(
+        syntax_rules(), key=lambda r: (-len(r.rhs.nodes), -len(r.rhs.edges), r.name)
+    )
+    failed = IsoSet()
+    restore_counter = [0]
+
+    def search(cur: TypedGraph) -> Optional[tuple[TypedGraph, list[DerivationStep]]]:
+        if len(cur.nodes) == len(target.nodes):
+            if find_isomorphism(cur, target):
+                return cur, []
+            return None
+        if len(cur.nodes) < len(target.nodes) or cur in failed:
+            return None
+        for rule in rules:
+            created = [n for n in rule.rhs.node_ids() if n not in ("a", "b")]
+            for node_map, edge_map in _enumerate_monos(rule.rhs, cur, {}):
+                exact = True
+                for rn in created:
+                    image = node_map[rn]
+                    incident = sum(
+                        1
+                        for e in cur.edges.values()
+                        if e.src == image or e.trg == image
+                    )
+                    wanted = sum(
+                        1
+                        for e in rule.rhs.edges.values()
+                        if e.src == rn or e.trg == rn
+                    )
+                    if incident != wanted:
+                        exact = False
+                        break
+                if not exact:
+                    continue
+                restore_counter[0] += 1
+                drop = {node_map[n] for n in created} | set(edge_map.values())
+                restore = Edge(NEXT, node_map["a"], node_map["b"])
+                reduced = TypedGraph._derive(
+                    cur, drop, {}, {f"r#{restore_counter[0]}": restore}
+                )
+                found = search(reduced)
+                if found is not None:
+                    base, steps = found
+                    steps.append(
+                        DerivationStep(
+                            rule.name,
+                            node_map["a"],
+                            node_map["b"],
+                            {n: node_map[n] for n in created},
+                        )
+                    )
+                    return base, steps
+        failed.add(cur)
+        return None
+
+    found = search(g)
+    if found is None:
+        return CfgValidation(False, "not reducible to the start graph")
+    base, steps = found
+    return CfgValidation(True, derivation=steps, base=base)
+
+
+def reference_enumerate_language(grammar: GraphGrammar, max_nodes: int) -> LanguageResult:
+    """Breadth-first closure that applies every rule at every match and
+    only then drops results above the node bound."""
+    if max_nodes < len(grammar.start.nodes):
+        raise GraphError("max_nodes is below the start graph's node count")
+    warnings = [
+        f"rule {rule.name!r} deletes nodes; pruning may drop members"
+        for rule in grammar.rules
+        if rule.deleted_lhs_nodes()
+    ]
+    members = IsoSet()
+    members.add(grammar.start)
+    frontier = [grammar.start]
+    rules = sorted(grammar.rules, key=lambda r: r.name)
+    while frontier:
+        next_frontier: list[TypedGraph] = []
+        for g in frontier:
+            for rule in rules:
+                for match in find_matches(rule, g):
+                    h = apply_rule(rule, match, g).result
+                    if len(h.nodes) <= max_nodes and members.add(h):
+                        next_frontier.append(h)
+        frontier = next_frontier
+    graphs = sorted(members, key=iso_signature)
+    return LanguageResult(graphs, max_nodes, members, warnings)

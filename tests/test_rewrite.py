@@ -16,6 +16,7 @@ from sdm.graph import (
     PartialMorphism,
     TypedGraph,
     find_isomorphism,
+    iso_signature,
     parse_graph,
     serialize_graph,
     validate_typing,
@@ -39,6 +40,7 @@ from .conftest import as_networkx, linked_list_tg, make_list, random_graph, zoo_
 from .oracles import (
     brute_force_matches,
     naive_pushout,
+    reference_enumerate_language,
     reference_matches,
     reference_next_fresh,
 )
@@ -559,12 +561,14 @@ def test_derived_graphs_equal_graphs_built_from_scratch(seed):
         if not matches:
             continue
         before = {n: (list(g.out_edges(n)), list(g.in_edges(n))) for n in g.nodes}
+        iso_signature(g)  # cached on the host, never carried to the result
         out = apply_rule(rule, rng.choice(matches), g)
         h = out.result
         scratch = TypedGraph(h.tg, h.nodes, h.edges)
         for n in h.nodes:
             assert h.out_edges(n) == scratch.out_edges(n)
             assert h.in_edges(n) == scratch.in_edges(n)
+        assert iso_signature(h) == iso_signature(scratch)
         assert tuple(mark + 1 for mark in h._fresh_marks()) == reference_next_fresh(h)
         assert {n: (g.out_edges(n), g.in_edges(n)) for n in g.nodes} == before
         assert out.comorphism.node_map == {n: n for n in g.nodes if n in h.nodes}
@@ -599,6 +603,32 @@ def test_enumerate_language_warns_on_node_deletion():
     grammar = GraphGrammar(start, (_delete_rule(tg),))
     result = enumerate_language(grammar, 2)
     assert result.warnings
+
+
+def _split_rule(tg) -> Rule:
+    # deletes x and creates y -> z: one node deleted, yet a growth of +1
+    lhs = GraphBuilder(tg).node("x", "Object").build()
+    rhs = (
+        GraphBuilder(tg)
+        .node("y", "Object")
+        .node("z", "Object")
+        .edge("yz", "next", "y", "z")
+        .build()
+    )
+    return Rule("split", lhs, rhs, PartialMorphism(lhs, rhs, {}, {}))
+
+
+@pytest.mark.parametrize("bound", [2, 3, 4, 5])
+def test_enumeration_skips_only_rules_past_the_bound(bound):
+    # node growth is created minus deleted: -1 for delete, +1 for append
+    # and for split, which deletes a node too
+    tg = linked_list_tg()
+    rules = (_append_rule(tg), _delete_rule(tg), _split_rule(tg))
+    grammar = GraphGrammar(make_list(tg, 2), rules)
+    got = enumerate_language(grammar, bound)
+    want = reference_enumerate_language(grammar, bound)
+    assert [g.to_dict() for g in got.graphs] == [g.to_dict() for g in want.graphs]
+    assert got.warnings == want.warnings
 
 
 def test_enumerate_is_deterministic():

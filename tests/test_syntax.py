@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -38,8 +39,9 @@ from sdm.syntax import (
     validate_control_flow,
 )
 
-from .builders import FIXTURES
+from .builders import CFG_SHAPES, FIXTURES, cfg_of_shape, redirect_next_edge
 from .conftest import linked_list_tg, make_list
+from .oracles import reference_enumerate_language, reference_validate_control_flow
 
 
 def _apply_at(g, rule_name, a, b):
@@ -136,6 +138,34 @@ def test_language_bound_four():
     assert result.contains(chain)
     other_chain = _apply_at(start_graph(), "insert-node", "story", "stop")
     assert find_isomorphism(chain, other_chain)
+
+
+@pytest.mark.parametrize("bound", [4, 5, 6])
+def test_enumeration_equals_the_unpruned_reference(bound):
+    # skipping rules whose results exceed the bound drops nothing
+    got = enumerate_language(syntax_grammar(), bound)
+    want = reference_enumerate_language(syntax_grammar(), bound)
+    assert [g.to_dict() for g in got.graphs] == [g.to_dict() for g in want.graphs]
+    assert got.warnings == want.warnings
+
+
+def test_validator_equals_the_unpinned_reference():
+    # the anchored search must try the same exact matches in the same
+    # order, so verdict, witness and base graph are all unchanged
+    members = enumerate_language(syntax_grammar(), 6).graphs
+    rng = random.Random(6)
+    graphs = members + [redirect_next_edge(rng, g) for g in members]
+    for shape in CFG_SHAPES:
+        graphs.append(cfg_of_shape(shape, 21).build())
+        graphs.append(cfg_of_shape(shape, 21).mutate().build())
+    verdicts = set()
+    for g in graphs:
+        got, want = validate_control_flow(g), reference_validate_control_flow(g)
+        assert (got.ok, got.reason) == (want.ok, want.reason)
+        assert got.derivation == want.derivation
+        assert got.base == want.base
+        verdicts.add(got.ok)
+    assert verdicts == {True, False}
 
 
 def test_validate_start_graph():
