@@ -59,8 +59,8 @@ from .interp import (
     Configuration,
     Trace,
     initialize,
+    replay,
     replay_trace,
-    replay_trace_file,
     run,
     step,
 )

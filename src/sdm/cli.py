@@ -2,15 +2,14 @@
 
 Subcommands: validate a story-diagram file, run one against a model,
 enumerate the control-flow language, and cross-check a run against the
-denotational oracle. Exit codes are a contract: 0 ok, 2 invalid
-diagram or usage, 3 unreadable or malformed input, 4 runtime pattern
-failure, 5 step budget exhausted, 6 oracle refusal, 1 undocumented
-oracle disagreement.
+denotational oracle. Exit codes are a contract, defined by the table in
+README.md.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -137,50 +136,49 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="sdm",
         description="Execute and check story diagrams over typed graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # what `run` and `oracle` share; `run`'s match order sits between the
+    # parents, so that its usage line keeps its order
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("diagram")
+    shared.add_argument("model")
+    shared.add_argument("--this", required=True, help="model node bound to `this`")
+    shared.add_argument(
+        "--strategy", choices=["conservative", "optimistic"], default="conservative"
+    )
+    order = argparse.ArgumentParser(add_help=False)
+    order.add_argument("--match-order", choices=["lex", "random"], default="lex")
+    order.add_argument("--seed", type=int)
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--max-steps", type=int, default=10000)
+
     p = sub.add_parser("validate", help="check a story-diagram file")
     p.add_argument("diagram")
-    p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("run", help="execute a story diagram on a model")
-    p.add_argument("diagram")
-    p.add_argument("model")
-    p.add_argument("--this", required=True, help="model node bound to `this`")
-    p.add_argument(
-        "--strategy",
-        choices=["conservative", "optimistic"],
-        default="conservative",
+    p = sub.add_parser(
+        "run",
+        parents=[shared, order, budget],
+        help="execute a story diagram on a model",
     )
-    p.add_argument("--match-order", choices=["lex", "random"], default="lex")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--max-steps", type=int, default=10000)
     p.add_argument("--out", default="out.json", help="final model file")
     p.add_argument("--trace", default="trace.jsonl", help="trace file")
     p.add_argument("--state", help="also write the final execution state graph")
-    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("enumerate", help="list the control-flow language")
     p.add_argument("--max-nodes", type=int, required=True)
-    p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("oracle", help="cross-check a run denotationally")
-    p.add_argument("diagram")
-    p.add_argument("model")
-    p.add_argument("--this", required=True)
-    p.add_argument(
-        "--strategy",
-        choices=["conservative", "optimistic"],
-        default="conservative",
+    p = sub.add_parser(
+        "oracle", parents=[shared, budget], help="cross-check a run denotationally"
     )
-    p.add_argument("--max-steps", type=int, default=10000)
     p.add_argument("--model-bound", type=int, default=6)
-    p.set_defaults(func=cmd_oracle)
 
     return parser
 
@@ -193,7 +191,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             parser.error("--seed is required exactly when --match-order random")
     if args.command == "enumerate" and args.max_nodes < 3:
         parser.error("--max-nodes must be at least 3")
-    return args.func(args)
+    # looked up per call: bench/spans.py wraps cmd_* after the parser is built
+    return globals()[f"cmd_{args.command}"](args)
 
 
 if __name__ == "__main__":

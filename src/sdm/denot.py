@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .diagram import StoryDiagram
-from .graph import GraphError, IsoSet, PartialMorphism, TypedGraph
-from .interp import Trace
-from .rewrite import Match, Rule, apply_rule, find_matches
+from .graph import GraphError, IsoSet, TypedGraph
+from .interp import Trace, replay
+from .rewrite import Rule, apply_rule, find_matches
 from .syntax import (
     COND_JOINING,
     COND_NONJOINING,
@@ -173,13 +173,7 @@ def evaluate(expr: DenotExpr, g: TypedGraph, depth: int = DEFAULT_UNROLL_DEPTH) 
         if depth == 0:
             return SemSet(incomplete=True)
         one_pass = _compose(sem_node(expr.cond, g), expr.body, depth)
-        out = SemSet(incomplete=one_pass.incomplete)
-        for _, g2 in one_pass.pairs():
-            rest = evaluate(expr, g2, depth - 1)
-            out.incomplete = out.incomplete or rest.incomplete
-            for _, h in rest.pairs():
-                out.add(g, h)
-        return out
+        return _compose(one_pass, expr, depth - 1)
     raise GraphError(f"unknown expression {expr!r}")
 
 
@@ -249,30 +243,24 @@ def cross_check(
     expr = compile_diagram(d)  # refuses failure-recurring loops
 
     v = Verdict(ok=True)
-    kinds = d.classification.kinds
-    g = model
     terminated = False
-    for ts in trace.steps:
+    for ts, g in replay(d, model, trace):
         if ts.outcome == "terminated":
             terminated = True
-            continue
-        rule = d.pattern_at(ts.node).rule
-        if ts.outcome == "failed":
-            if kinds[ts.node] == SEQUENTIAL:
+        elif ts.outcome == "failed":
+            # a failed step leaves the model as it was, so g is its input
+            if d.classification.kinds[ts.node] == SEQUENTIAL:
                 v.divergences.append(
                     f"sequential pattern failed at {ts.node!r}: the step "
                     "semantics aborts, the denotational semantics passes the "
                     "graph through"
                 )
-            elif find_matches(rule, g, first=True):
+            elif find_matches(d.pattern_at(ts.node).rule, g, first=True):
                 v.divergences.append(
                     f"conditional {ts.node!r} failed only under its pinned "
                     "bindings; the denotational semantics, which has no "
                     "bindings, would take the success branch"
                 )
-            continue
-        morphism = PartialMorphism(rule.lhs, g, ts.match_nodes, ts.match_edges)
-        g = apply_rule(rule, Match(rule, morphism, g.revision), g).result
 
     if v.divergences:
         v.notes.append("documented divergence; membership not required")

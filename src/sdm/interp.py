@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .diagram import (
     ROOT_SCOPE,
@@ -24,12 +24,14 @@ from .diagram import (
 from .graph import (
     Edge,
     EdgeType,
+    FormatError,
     GraphError,
     PartialMorphism,
     TypedGraph,
     TypeGraph,
+    _check_names,
 )
-from .rewrite import Match, apply_rule, find_matches
+from .rewrite import Match, apply_rule, check_nac, find_matches
 from .syntax import (
     ABSTRACT,
     CF_NODE,
@@ -130,9 +132,8 @@ class TraceStep:
     destructed: list[str]
     scope_events: list[dict]
     model_rev: int
-    rule: Optional[str] = None
-    match_nodes: dict[str, str] = field(default_factory=dict)
-    match_edges: dict[str, str] = field(default_factory=dict)
+    rule: Optional[str]  # None on a terminating step
+    edges: dict[str, str]  # lhs edge -> model edge id, {} unless matched
 
     def to_record(self) -> dict:
         return {
@@ -147,6 +148,8 @@ class TraceStep:
             "destructed": self.destructed,
             "scope_events": self.scope_events,
             "model_rev": self.model_rev,
+            "rule": self.rule,
+            "edges": self.edges,
         }
 
 
@@ -158,6 +161,24 @@ class Trace:
         return "".join(
             json.dumps(s.to_record(), sort_keys=True) + "\n" for s in self.steps
         )
+
+    @classmethod
+    def from_jsonl(cls, text: str) -> Trace:
+        """Parse what `to_jsonl` writes; FormatError on a malformed line."""
+        steps = []
+        for number, line in enumerate(text.splitlines(), 1):
+            try:
+                rec = json.loads(line)
+                match = {m["var"]: m["model_node"] for m in rec["match"]}
+                edges = rec["edges"]
+                names = [rec["node"], *match, *match.values(), *edges, *edges.values()]
+                _check_names("trace record", *names)
+                if rec["outcome"] not in ("matched", "failed", "terminated"):
+                    raise FormatError(f"unknown outcome {rec['outcome']!r}")
+                steps.append(TraceStep(**{**rec, "match": match}))
+            except (ValueError, KeyError, TypeError, AttributeError, FormatError) as e:
+                raise FormatError(f"trace line {number}: {e!r}") from e
+        return cls(steps)
 
 
 class Configuration:
@@ -428,7 +449,7 @@ def step(c: Configuration) -> Configuration:
         c.token_attached = False
         c.trace.append(
             TraceStep(
-                c.steps_taken, node, "terminated", {}, [], [], [], c.model_rev
+                c.steps_taken, node, "terminated", {}, [], [], [], c.model_rev, None, {}
             )
         )
         return c
@@ -519,8 +540,7 @@ def step(c: Configuration) -> Configuration:
             events,
             c.model_rev,
             rule=pattern.rule.name,
-            match_nodes=dict(result.match.node_map) if result.matched else {},
-            match_edges=dict(result.match.edge_map) if result.matched else {},
+            edges=dict(result.match.edge_map) if result.matched else {},
         )
     )
     return c
@@ -537,49 +557,41 @@ def run(c: Configuration, max_steps: int = 10000) -> tuple[Configuration, Trace]
     return c, Trace(c.trace)
 
 
+def replay(
+    d: StoryDiagram, model: TypedGraph, trace: Trace
+) -> Iterator[tuple[TraceStep, TypedGraph]]:
+    """Re-apply the recorded steps to the model, yielding each step with
+    the model after it. A matched step must record the diagram's rule at
+    its node and a total injective match that no NAC forbids."""
+    g = model
+    for ts in trace.steps:
+        if ts.outcome == "matched":
+            try:
+                pattern = d.pattern_at(ts.node)
+                rule = pattern.rule
+                if ts.rule != rule.name:
+                    raise GraphError(f"recorded rule {ts.rule!r} is not {rule.name!r}")
+                nodes = {l: ts.match[name] for l, name in pattern.lhs_names.items()}
+                morphism = PartialMorphism(rule.lhs, g, nodes, ts.edges)
+                if not (morphism.is_total() and morphism.is_injective()):
+                    raise GraphError("recorded images are not total and injective")
+                match = Match(rule, morphism, g.revision)
+                if not all(check_nac(nac, match) for nac in rule.nacs):
+                    raise GraphError("a NAC forbids the recorded match")
+            except (KeyError, GraphError) as exc:
+                raise GraphError(
+                    f"trace replay: recorded match at step {ts.step} "
+                    f"(node {ts.node!r}) no longer applies: {exc}"
+                ) from exc
+            g = apply_rule(rule, match, g).result
+        yield ts, g
+
+
 def replay_trace(
     d: StoryDiagram, initial_model: TypedGraph, trace: Trace
 ) -> TypedGraph:
     """Re-apply the trace's recorded matches to the initial model."""
     g = initial_model
-    for ts in trace.steps:
-        if ts.outcome != "matched":
-            continue
-        rule = d.pattern_at(ts.node).rule
-        morphism = PartialMorphism(rule.lhs, g, ts.match_nodes, ts.match_edges)
-        g = apply_rule(rule, Match(rule, morphism, g.revision), g).result
-    return g
-
-
-def replay_trace_file(
-    d: StoryDiagram, initial_model: TypedGraph, text: str
-) -> TypedGraph:
-    """Re-apply a serialized trace (JSONL) to the initial model.
-
-    Trace files record node images only, so each step pins every
-    pattern node to its recorded image and completes the edge mapping
-    deterministically (lexicographically first match). The completion
-    is unique unless the model has parallel edges between the same
-    matched endpoints.
-    """
-    g = initial_model
-    for line in text.splitlines():
-        rec = json.loads(line)
-        if rec["outcome"] != "matched":
-            continue
-        pattern = d.pattern_at(rec["node"])
-        by_name = {m["var"]: m["model_node"] for m in rec["match"]}
-        partial = {
-            l: by_name[name] for l, name in pattern.lhs_names.items()
-        }
-        stale = any(h not in g.nodes for h in partial.values())
-        matches = (
-            [] if stale else find_matches(pattern.rule, g, partial=partial, first=True)
-        )
-        if not matches:
-            raise GraphError(
-                f"trace replay: recorded match at step {rec['step']} "
-                f"(node {rec['node']!r}) no longer applies"
-            )
-        g = apply_rule(pattern.rule, matches[0], g).result
+    for _, g in replay(d, initial_model, trace):
+        pass
     return g

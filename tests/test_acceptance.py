@@ -25,9 +25,9 @@ from sdm.interp import (
     OPTIMISTIC,
     RUNNING,
     TERMINATED,
+    Trace,
     initialize,
     replay_trace,
-    replay_trace_file,
     run,
     step,
 )
@@ -230,8 +230,8 @@ def test_criterion_4_delete_next_object(capsys, tmp_path):
             problems.append(f"len {length}: this is still the last one")
 
         model = _model(f"list{length}.model.json", d.tg)
-        replayed = replay_trace_file(
-            d, model, trace_path.read_text(encoding="utf-8")
+        replayed = replay_trace(
+            d, model, Trace.from_jsonl(trace_path.read_text(encoding="utf-8"))
         )
         if serialize_graph(replayed) + "\n" != out_path.read_text(
             encoding="utf-8"

@@ -10,7 +10,9 @@ import pytest
 import sdm.interp
 from sdm.cli import main
 from sdm.diagram import load_story_diagram
+from sdm.denot import cross_check
 from sdm.graph import (
+    FormatError,
     GraphError,
     graph_from_dict,
     parse_graph,
@@ -26,9 +28,9 @@ from sdm.interp import (
     SEMANTIC_TYPE_GRAPH,
     TERMINATED,
     Configuration,
+    Trace,
     initialize,
     replay_trace,
-    replay_trace_file,
     run,
     step,
 )
@@ -407,7 +409,7 @@ def test_replay_reproduces_the_final_model():
         c, trace = run(initialize(d, model, this))
         replayed = replay_trace(d, model, trace)
         assert replayed.to_dict() == c.model.to_dict(), diagram_name
-        from_file = replay_trace_file(d, model, trace.to_jsonl())
+        from_file = replay_trace(d, model, Trace.from_jsonl(trace.to_jsonl()))
         assert from_file.to_dict() == c.model.to_dict(), diagram_name
 
 
@@ -416,7 +418,7 @@ def test_file_replay_covers_random_order_runs(while_star):
     c, trace = run(
         initialize(while_star, model, "o0", match_order="random", seed=11)
     )
-    replayed = replay_trace_file(while_star, model, trace.to_jsonl())
+    replayed = replay_trace(while_star, model, Trace.from_jsonl(trace.to_jsonl()))
     assert replayed.to_dict() == c.model.to_dict()
 
 
@@ -426,7 +428,7 @@ def test_file_replay_rejects_a_trace_for_the_wrong_model(minimal):
     _, trace = run(initialize(d, model, "o1"))
     other = load_model("single.model.json", d.tg)
     with pytest.raises(GraphError, match="no longer applies"):
-        replay_trace_file(d, other, trace.to_jsonl())
+        replay_trace(d, other, Trace.from_jsonl(trace.to_jsonl()))
 
 
 def test_trace_records_have_the_documented_fields(dno):
@@ -443,12 +445,138 @@ def test_trace_records_have_the_documented_fields(dno):
             "destructed",
             "scope_events",
             "model_rev",
+            "rule",
+            "edges",
         }
     assert [json.loads(l)["step"] for l in trace.to_jsonl().splitlines()] == [
         1,
         2,
         3,
     ]
+
+
+FIXTURE_DIAGRAMS = sorted(
+    p.name
+    for p in FIXTURES.glob("*.diagram.json")
+    if p.name != "invalid_cfg.diagram.json"
+)
+FIXTURE_MODELS = sorted(p.name for p in FIXTURES.glob("*.model.json"))
+
+
+@pytest.mark.parametrize("diagram_name", FIXTURE_DIAGRAMS)
+def test_trace_files_parse_back_to_the_same_records(diagram_name):
+    d = load_diagram(diagram_name)
+    for model_name in FIXTURE_MODELS:
+        model = load_model(model_name, d.tg)
+        for this in sorted(model.nodes):
+            for order, seed in (("lex", None), ("random", 7)):
+                c = initialize(d, model, this, match_order=order, seed=seed)
+                _, trace = run(c, max_steps=200)
+                text = trace.to_jsonl()
+                assert Trace.from_jsonl(text).to_jsonl() == text
+                assert Trace.from_jsonl(text) == trace
+
+
+def test_file_replay_follows_the_recorded_parallel_edge(while_star):
+    doc = json.loads((FIXTURES / "star5.model.json").read_text(encoding="utf-8"))
+    doc["edges"] += [
+        {"id": f"p{k}", "type": "next", "src": "o0", "trg": "o1"} for k in (1, 2)
+    ]
+    model = graph_from_dict(doc, while_star.tg)
+    for seed in range(20):
+        for budget in (2, 4, 6):
+            c = initialize(while_star, model, "o0", match_order="random", seed=seed)
+            c, trace = run(c, max_steps=budget)
+            replayed = replay_trace(
+                while_star, model, Trace.from_jsonl(trace.to_jsonl())
+            )
+            assert replayed.to_dict() == c.model.to_dict(), (seed, budget)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "not json",
+        "[]",
+        '{"step": 1}',
+        '{"step": 1, "node": "n", "outcome": "matched", "match": [], '
+        '"constructed": [], "destructed": [], "scope_events": [], '
+        '"model_rev": 1, "rule": "r", "edges": [["e1", "n1"]]}',
+        '{"step": 1, "node": "n", "outcome": "matched", '
+        '"match": [{"var": "x", "model_node": 3}], "constructed": [], '
+        '"destructed": [], "scope_events": [], "model_rev": 1, "rule": "r", '
+        '"edges": {}}',
+        '{"step": 1, "node": "n", "outcome": "skipped", "match": [], '
+        '"constructed": [], "destructed": [], "scope_events": [], '
+        '"model_rev": 1, "rule": "r", "edges": {}}',
+        '{"step": 1, "node": "n", "outcome": "matched", "match": [], '
+        '"constructed": [], "destructed": [], "scope_events": [], '
+        '"model_rev": 1, "rule": "r", "edges": {}, "extra": 0}',
+    ],
+)
+def test_a_malformed_trace_line_is_a_format_error(while_star, line):
+    model = load_model("star5.model.json", while_star.tg)
+    _, trace = run(initialize(while_star, model, "o0"), max_steps=2)
+    text = trace.to_jsonl() + line + "\n"
+    with pytest.raises(FormatError, match="trace line 3"):
+        Trace.from_jsonl(text)
+
+
+def _doctor_head(record: dict) -> None:
+    record["rule"] = "someOtherRule"
+
+
+def _doctor_edge(record: dict) -> None:
+    record["edges"] = {"e1": "n2"}  # x stays o1, so e1 -> n2 does not commute
+
+
+def _doctor_partial(record: dict) -> None:
+    record["edges"] = {}
+
+
+def _doctor_injective(record: dict) -> None:
+    record["match"] = [
+        {"var": "this", "model_node": "o0"},
+        {"var": "x", "model_node": "o0"},
+    ]
+    record["edges"] = {"e1": "loop"}  # commutes, but this and x share o0
+
+
+@pytest.mark.parametrize(
+    "doctor", [_doctor_head, _doctor_edge, _doctor_partial, _doctor_injective]
+)
+def test_replay_rejects_a_record_that_is_not_a_match(while_star, doctor):
+    doc = json.loads((FIXTURES / "star5.model.json").read_text(encoding="utf-8"))
+    doc["edges"].append({"id": "loop", "type": "next", "src": "o0", "trg": "o0"})
+    model = graph_from_dict(doc, while_star.tg)
+    _, trace = run(initialize(while_star, model, "o0"))
+    records = [json.loads(line) for line in trace.to_jsonl().splitlines()]
+    head = records[0]
+    assert (head["node"], head["outcome"], head["edges"]) == (
+        "head", "matched", {"e1": "n1"}
+    )
+    doctor(head)
+    doctored = Trace.from_jsonl("".join(json.dumps(r) + "\n" for r in records))
+    with pytest.raises(GraphError, match="at step 1 .* no longer applies"):
+        replay_trace(while_star, model, doctored)
+    with pytest.raises(GraphError, match="at step 1 .* no longer applies"):
+        cross_check(while_star, model, doctored)
+
+
+def test_replay_rejects_a_match_that_a_nac_forbids(tmp_path):
+    star_diagram = json.loads(
+        (FIXTURES / "while_star.diagram.json").read_text(encoding="utf-8")
+    )
+    path = tmp_path / "while_star_nac.json"
+    path.write_text(json.dumps(_with_head_nac(star_diagram)), encoding="utf-8")
+    d = load_story_diagram(path)
+    model = load_model("star5.model.json", d.tg)
+    _, trace = run(initialize(d, model, "o0"))
+    assert replay_trace(d, model, trace).to_dict()  # no back edge: it applies
+    doc = model.to_dict()
+    doc["edges"].append({"id": "back", "type": "next", "src": "o1", "trg": "o0"})
+    with pytest.raises(GraphError, match="at step 1 .* no longer applies"):
+        replay_trace(d, graph_from_dict(doc, d.tg), trace)
 
 
 def test_model_rev_counts_rewrites_only(while_star):
