@@ -425,7 +425,7 @@ def diagram_from_dict(data: dict) -> StoryDiagram:
     verdict = validate_control_flow(cfg)
     if not verdict.ok:
         raise DiagramError(f"control flow graph is invalid: {verdict.reason}")
-    classification = classify_nodes(cfg)
+    classification = classify_nodes(cfg, verdict)
 
     patterns = _patterns_from_entries(data["patterns"], cfg, tg)
     story_nodes = {n for n, t in cfg.nodes.items() if t == CF_NODE}

@@ -8,7 +8,6 @@ id order.
 
 from __future__ import annotations
 
-import itertools
 import json
 import re
 from bisect import bisect_left
@@ -29,10 +28,6 @@ def _check_names(what: str, *values: object) -> None:
     for value in values:
         if not isinstance(value, str):
             raise FormatError(f"{what}: expected a string, got {value!r}")
-
-
-# process-wide revision stamps, used only for stale-match detection
-_revision_counter = itertools.count(1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,7 +175,6 @@ class TypedGraph:
         self.tg = tg
         self.nodes = dict(nodes)
         self.edges = dict(edges)
-        self.revision = next(_revision_counter)
         self._adjacency: Optional[tuple[dict, dict]] = None
         self._marks: Optional[tuple[int, int]] = None
         self._signature: Optional[tuple] = None
@@ -193,15 +187,21 @@ class TypedGraph:
 
     @classmethod
     def _derive(
-        cls, host: "TypedGraph", gone: set[str], new_nodes: dict, new_edges: dict
+        cls,
+        host: "TypedGraph",
+        gone: set[str],
+        new_nodes: dict,
+        new_edges: dict,
+        marks: Optional[tuple[int, int]] = None,
     ) -> "TypedGraph":
         """The host minus the gone ids plus the new elements, sharing its
-        untouched adjacency lists and fresh-id marks. From a valid host,
-        checking only the change keeps every property `__init__` checks."""
+        untouched adjacency lists. `marks` are the result's fresh-id marks
+        if the caller knows them; otherwise they are scanned on first use.
+        From a valid host, checking only the change keeps every property
+        `__init__` checks."""
         g = cls.__new__(cls)
         g.tg, g.nodes, g.edges = host.tg, dict(host.nodes), dict(host.edges)
-        g.revision = next(_revision_counter)
-        g._signature = None
+        g._marks, g._signature = marks, None
         outs, ins = g._adjacency = tuple(dict(side) for side in host._index())
         for x in gone:
             if x in g.nodes:
@@ -226,14 +226,6 @@ class TypedGraph:
             g.edges[eid] = e
             outs[e.src] = _spliced(outs.get(e.src, []), eid, e)
             ins[e.trg] = _spliced(ins.get(e.trg, []), eid, e)
-        g._marks = None  # unknown: scanned on first use
-        if host._marks is not None:
-            n_mark, e_mark = host._marks
-            gone_n, gone_e = _fresh_mark(gone, "n"), _fresh_mark(gone, "e")
-            # deleting the holder of a nonzero mark may lower that mark
-            if not (gone_n == n_mark > 0 or gone_e == e_mark > 0):
-                new_n, new_e = _fresh_mark(new_nodes, "n"), _fresh_mark(new_edges, "e")
-                g._marks = (max(n_mark, new_n), max(e_mark, new_e))
         return g
 
     def node_ids(self) -> list[str]:

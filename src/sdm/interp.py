@@ -383,7 +383,6 @@ class PatternInvocationResult:
     match: Optional[Match] = None
     constructed: list[str] = field(default_factory=list)
     destructed: list[str] = field(default_factory=list)
-    fresh: list[str] = field(default_factory=list)  # unbound lhs names matched
 
 
 def invoke_pattern(c: Configuration) -> PatternInvocationResult:
@@ -432,7 +431,6 @@ def invoke_pattern(c: Configuration) -> PatternInvocationResult:
         match=match,
         constructed=constructed,
         destructed=destructed,
-        fresh=fresh,
     )
 
 
@@ -575,7 +573,7 @@ def replay(
                 morphism = PartialMorphism(rule.lhs, g, nodes, ts.edges)
                 if not (morphism.is_total() and morphism.is_injective()):
                     raise GraphError("recorded images are not total and injective")
-                match = Match(rule, morphism, g.revision)
+                match = Match(rule, morphism)
                 if not all(check_nac(nac, match) for nac in rule.nacs):
                     raise GraphError("a NAC forbids the recorded match")
             except (KeyError, GraphError) as exc:

@@ -29,7 +29,7 @@ from .graph import (
 
 
 class StaleMatchError(GraphError):
-    """The host graph changed between matching and application."""
+    """The match was found in another graph than the host it is applied to."""
 
 
 @dataclass(slots=True)
@@ -91,7 +91,6 @@ class Match:
 
     rule: Rule
     morphism: PartialMorphism  # total injective lhs -> host
-    host_revision: int
 
     @property
     def node_map(self) -> dict[str, str]:
@@ -194,7 +193,7 @@ def find_matches(
     matches = []
     for node_map, edge_map in _enumerate_monos(rule.lhs, host, partial):
         morphism = PartialMorphism(rule.lhs, host, node_map, edge_map)
-        match = Match(rule, morphism, host.revision)
+        match = Match(rule, morphism)
         if all(check_nac(nac, match, injective=nac_injective) for nac in rule.nacs):
             matches.append(match)
             if first:
@@ -229,7 +228,7 @@ def apply_rule(rule: Rule, match: Match, host: TypedGraph) -> ApplyResult:
     """
     if match.rule is not rule:
         raise GraphError("match was produced for a different rule")
-    if match.morphism.dst is not host or match.host_revision != host.revision:
+    if match.morphism.dst is not host:
         raise StaleMatchError("host changed since the match was found")
 
     deleted_nodes = {match.node_map[n] for n in rule.deleted_lhs_nodes()}
@@ -241,7 +240,8 @@ def apply_rule(rule: Rule, match: Match, host: TypedGraph) -> ApplyResult:
     for n in deleted_nodes:
         deleted.update(eid for eid, _ in host.out_edges(n) + host.in_edges(n))
 
-    n_mark, e_mark = host._fresh_marks()
+    host_marks = host._fresh_marks()
+    n_mark, e_mark = host_marks
     rhs_node_map = {r: match.node_map[l] for l, r in rule.mapping.node_map.items()}
     new_nodes: dict[str, str] = {}
     for rn in rule.created_rhs_nodes():
@@ -260,7 +260,10 @@ def apply_rule(rule: Rule, match: Match, host: TypedGraph) -> ApplyResult:
             redge.type, rhs_node_map[redge.src], rhs_node_map[redge.trg]
         )
 
-    result = TypedGraph._derive(host, deleted, new_nodes, new_edges)
+    # deleting the holder of a nonzero mark may lower it: rescan on first use
+    lowered = any(f"{k}#{m}" in deleted for k, m in zip("ne", host_marks) if m)
+    marks = None if lowered else (n_mark, e_mark)
+    result = TypedGraph._derive(host, deleted, new_nodes, new_edges, marks)
     return ApplyResult(
         result=result,
         comorphism=_Survivors(host, result, frozenset(deleted)),

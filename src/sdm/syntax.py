@@ -4,8 +4,9 @@ The grammar grows a minimal start graph (start, one story node, stop)
 by inserting structure into existing `next` edges: plain nodes,
 conditionals whose branches join or dead-end in fresh stop nodes, and
 head-controlled loops in either polarity. Membership is decided by
-backward reduction, and member graphs are classified node by node for
-the interpreter.
+backward reduction, whose derivation witness also classifies a member's
+nodes for the interpreter: the rule that created a node says whether it
+heads a conditional or a loop.
 """
 
 from __future__ import annotations
@@ -459,38 +460,20 @@ def _reach(g: TypedGraph, sources: list[str], blocked: set[str]) -> set[str]:
     return seen
 
 
-def classify_nodes(g: TypedGraph) -> NodeClassification:
-    """Assign every story node its role; requires a validated graph."""
-    starts = [n for n, t in g.nodes.items() if t == START_NODE]
-    if len(starts) != 1:
-        raise GraphError("classification needs exactly one start node")
-    start = starts[0]
-    start_out = [e for _, e in g.out_edges(start)]
-    if len(start_out) != 1 or start_out[0].type != NEXT:
-        raise GraphError("start node must have one outgoing next edge")
-    first = start_out[0].trg
+def classify_nodes(g: TypedGraph, validation: CfgValidation) -> NodeClassification:
+    """Assign every story node its role, read off g's derivation witness.
 
-    preds: dict[str, set[str]] = {n: set() for n in g.nodes}
-    for e in g.edges.values():
-        preds[e.trg].add(e.src)
-
-    # iterative dominator sets over the flow from the start node
-    order = sorted(_reach(g, [start], set()))
-    dom: dict[str, set[str]] = {n: set(order) for n in order}
-    dom[start] = {start}
-    changed = True
-    while changed:
-        changed = False
-        for n in order:
-            if n == start:
-                continue
-            incoming = [dom[p] for p in preds[n] if p in dom]
-            new = set.intersection(*incoming) | {n} if incoming else {n}
-            if new != dom[n]:
-                dom[n] = new
-                changed = True
-
-    kinds: dict[str, str] = {}
+    The heads of conditionals and loops are the `c` nodes that joining,
+    non-joining and while rules created, and an if-then joins at the `b`
+    it was inserted before. Branch members and stops are what each
+    branch reaches; a loop's members are the body nodes that flow back
+    to its head.
+    """
+    if not validation.ok:
+        raise GraphError(f"cannot classify an invalid graph: {validation.reason}")
+    start = next(n for n, t in g.nodes.items() if t == START_NODE)
+    first = g.out_edges(start)[0][1].trg
+    kinds = {n: SEQUENTIAL for n in sorted(g.nodes) if g.nodes[n] == CF_NODE}
     joins: dict[str, str] = {}
     branch_stops: dict[str, dict[str, set[str]]] = {}
     branch_members: dict[str, dict[str, set[str]]] = {}
@@ -498,77 +481,37 @@ def classify_nodes(g: TypedGraph) -> NodeClassification:
     def cf_only(nodes: set[str]) -> set[str]:
         return {n for n in nodes if g.nodes[n] == CF_NODE}
 
-    for n in sorted(g.nodes):
-        if g.nodes[n] != CF_NODE:
-            continue
-        outs = list(g.out_edges(n))
-        types = sorted(e.type for _, e in outs)
-        if types == [NEXT]:
-            kinds[n] = SEQUENTIAL
-            continue
-        if types != [FAILURE, SUCCESS]:
-            raise GraphError(f"node {n!r} has malformed outgoing edges {types}")
-        succ_target = next(e.trg for _, e in outs if e.type == SUCCESS)
-        fail_target = next(e.trg for _, e in outs if e.type == FAILURE)
-
-        back_sources = [u for u in preds[n] if n in dom.get(u, set())]
-        if back_sources:
-            # natural loop: n plus everything reaching a back-edge
-            # source against the flow without crossing n
-            natural = {n}
-            worklist = [u for u in back_sources if u != n]
-            while worklist:
-                w = worklist.pop()
-                if w in natural:
-                    continue
-                natural.add(w)
-                worklist.extend(p for p in preds[w] if p != n)
-            in_loop_succ = succ_target in natural
-            in_loop_fail = fail_target in natural
-            if in_loop_succ == in_loop_fail:
-                raise GraphError(f"cannot orient loop at {n!r}")
-            polarity = SUCCESS if in_loop_succ else FAILURE
-            other = FAILURE if in_loop_succ else SUCCESS
-            kinds[n] = (
-                LOOP_HEAD_SUCCESS if polarity == SUCCESS else LOOP_HEAD_FAILURE
-            )
+    rule_kind = rule_kinds()
+    heads = {s.created["c"]: s for s in validation.derivation if "c" in s.created}
+    for n, step in sorted(heads.items()):
+        kind = rule_kind[step.rule]
+        succ, fail = branch_targets(g, n)
+        if kind == KIND_WHILE:
+            polarity = SUCCESS if step.rule.startswith("while-success") else FAILURE
+            other, body = (FAILURE, succ) if polarity == SUCCESS else (SUCCESS, fail)
+            reach = _reach(g, [body], {n})
+            members: set[str] = set()
+            stack = [e.src for _, e in g.in_edges(n) if e.src in reach]
+            while stack:
+                w = stack.pop()
+                if w not in members:
+                    members.add(w)
+                    stack.extend(e.src for _, e in g.in_edges(w) if e.src != n)
+            kinds[n] = LOOP_HEAD_SUCCESS if polarity == SUCCESS else LOOP_HEAD_FAILURE
+            branch_members[n] = {polarity: cf_only(members), other: set()}
+        elif kind == KIND_JOINING:
+            kinds[n], joins[n] = COND_JOINING, step.b
             branch_members[n] = {
-                polarity: cf_only(natural - {n}),
-                other: set(),
+                SUCCESS: cf_only(_reach(g, [succ], {n, step.b})),
+                FAILURE: cf_only(_reach(g, [fail], {n, step.b})),
             }
-            continue
-
-        r_succ = _reach(g, [succ_target], {n})
-        r_fail = _reach(g, [fail_target], {n})
-        common = r_succ & r_fail
-        if not common:
+        else:
+            r_succ, r_fail = _reach(g, [succ], {n}), _reach(g, [fail], {n})
             kinds[n] = COND_NONJOINING
-            branch_members[n] = {
-                SUCCESS: cf_only(r_succ),
-                FAILURE: cf_only(r_fail),
-            }
+            branch_members[n] = {SUCCESS: cf_only(r_succ), FAILURE: cf_only(r_fail)}
             branch_stops[n] = {
                 SUCCESS: {m for m in r_succ if g.nodes[m] == STOP_NODE},
                 FAILURE: {m for m in r_fail if g.nodes[m] == STOP_NODE},
-            }
-        else:
-            # the join is the common node both branches reach before any
-            # other common node; a loop around the conditional may make
-            # the join's other predecessors common too
-            def entries(target: str) -> set[str]:
-                before = _reach(g, [target], common | {n})
-                after = {e.trg for m in before for _, e in g.out_edges(m)}
-                return ({target} | after) & common
-
-            candidates = sorted(entries(succ_target) & entries(fail_target))
-            if len(candidates) != 1:
-                raise GraphError(f"no unique join node for conditional {n!r}")
-            join = candidates[0]
-            kinds[n] = COND_JOINING
-            joins[n] = join
-            branch_members[n] = {
-                SUCCESS: cf_only(_reach(g, [succ_target], {n, join})),
-                FAILURE: cf_only(_reach(g, [fail_target], {n, join})),
             }
 
     return NodeClassification(

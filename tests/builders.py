@@ -83,7 +83,7 @@ def story_diagram(
         patterns,
         params or [("this", "Object")],
         verdict,
-        classify_nodes(cfg),
+        classify_nodes(cfg, verdict),
     )
     report = validate_binding_marks(d, analyze_scopes(d))
     assert report.ok, report.violations

@@ -7,13 +7,14 @@ package's earlier backtracking matcher, which scans the sorted edge set
 for every adjacency query and sorts its full match list, and the
 earlier fresh-id scan over every id of a graph.
 
-Two more are the package's earlier versions of a fast path, kept to
+Three more are the package's earlier versions of a fast path, kept to
 check that the fast path changes no result. They share the package's
 matcher, rewriting and `IsoSet`, and differ only in what the fast path
 changed: the control-flow validator that matches each inverse rule
-unpinned and scans every host edge to test exactness, and language
+unpinned and scans every host edge to test exactness, language
 enumeration that builds every application before pruning by the node
-bound.
+bound, and node classification that finds loops and joins by dominator
+analysis instead of reading them off the derivation witness.
 """
 
 from __future__ import annotations
@@ -36,10 +37,22 @@ from sdm.graph import (
 from sdm.rewrite import GraphGrammar, LanguageResult, Match, apply_rule, find_matches
 from sdm.syntax import (
     ABSTRACT,
+    CF_NODE,
+    COND_JOINING,
+    COND_NONJOINING,
+    FAILURE,
+    LOOP_HEAD_FAILURE,
+    LOOP_HEAD_SUCCESS,
     NEXT,
+    SEQUENTIAL,
+    START_NODE,
+    STOP_NODE,
+    SUCCESS,
     SYNTAX_TYPE_GRAPH,
     CfgValidation,
     DerivationStep,
+    NodeClassification,
+    _reach,
     start_graph,
     syntax_rules,
 )
@@ -294,9 +307,7 @@ def reference_matches(
 
     matches = []
     for node_map, edge_map in _reference_monos(rule.lhs, host, partial):
-        match = Match(
-            rule, PartialMorphism(rule.lhs, host, node_map, edge_map), host.revision
-        )
+        match = Match(rule, PartialMorphism(rule.lhs, host, node_map, edge_map))
         if all(nac_ok(nac, match) for nac in rule.nacs):
             matches.append(match)
     lhs_nodes = rule.lhs.node_ids()
@@ -422,3 +433,127 @@ def reference_enumerate_language(grammar: GraphGrammar, max_nodes: int) -> Langu
         frontier = next_frontier
     graphs = sorted(members, key=iso_signature)
     return LanguageResult(graphs, max_nodes, members, warnings)
+
+
+def reference_classify_nodes(g: TypedGraph) -> NodeClassification:
+    """Every story node's role found from the graph alone: loops as natural
+    loops over iterative dominator sets, joins as the one common node
+    both branches enter first."""
+    starts = [n for n, t in g.nodes.items() if t == START_NODE]
+    if len(starts) != 1:
+        raise GraphError("classification needs exactly one start node")
+    start = starts[0]
+    start_out = [e for _, e in g.out_edges(start)]
+    if len(start_out) != 1 or start_out[0].type != NEXT:
+        raise GraphError("start node must have one outgoing next edge")
+    first = start_out[0].trg
+
+    preds: dict[str, set[str]] = {n: set() for n in g.nodes}
+    for e in g.edges.values():
+        preds[e.trg].add(e.src)
+
+    # iterative dominator sets over the flow from the start node
+    order = sorted(_reach(g, [start], set()))
+    dom: dict[str, set[str]] = {n: set(order) for n in order}
+    dom[start] = {start}
+    changed = True
+    while changed:
+        changed = False
+        for n in order:
+            if n == start:
+                continue
+            incoming = [dom[p] for p in preds[n] if p in dom]
+            new = set.intersection(*incoming) | {n} if incoming else {n}
+            if new != dom[n]:
+                dom[n] = new
+                changed = True
+
+    kinds: dict[str, str] = {}
+    joins: dict[str, str] = {}
+    branch_stops: dict[str, dict[str, set[str]]] = {}
+    branch_members: dict[str, dict[str, set[str]]] = {}
+
+    def cf_only(nodes: set[str]) -> set[str]:
+        return {n for n in nodes if g.nodes[n] == CF_NODE}
+
+    for n in sorted(g.nodes):
+        if g.nodes[n] != CF_NODE:
+            continue
+        outs = list(g.out_edges(n))
+        types = sorted(e.type for _, e in outs)
+        if types == [NEXT]:
+            kinds[n] = SEQUENTIAL
+            continue
+        if types != [FAILURE, SUCCESS]:
+            raise GraphError(f"node {n!r} has malformed outgoing edges {types}")
+        succ_target = next(e.trg for _, e in outs if e.type == SUCCESS)
+        fail_target = next(e.trg for _, e in outs if e.type == FAILURE)
+
+        back_sources = [u for u in preds[n] if n in dom.get(u, set())]
+        if back_sources:
+            # natural loop: n plus everything reaching a back-edge
+            # source against the flow without crossing n
+            natural = {n}
+            worklist = [u for u in back_sources if u != n]
+            while worklist:
+                w = worklist.pop()
+                if w in natural:
+                    continue
+                natural.add(w)
+                worklist.extend(p for p in preds[w] if p != n)
+            in_loop_succ = succ_target in natural
+            in_loop_fail = fail_target in natural
+            if in_loop_succ == in_loop_fail:
+                raise GraphError(f"cannot orient loop at {n!r}")
+            polarity = SUCCESS if in_loop_succ else FAILURE
+            other = FAILURE if in_loop_succ else SUCCESS
+            kinds[n] = (
+                LOOP_HEAD_SUCCESS if polarity == SUCCESS else LOOP_HEAD_FAILURE
+            )
+            branch_members[n] = {
+                polarity: cf_only(natural - {n}),
+                other: set(),
+            }
+            continue
+
+        r_succ = _reach(g, [succ_target], {n})
+        r_fail = _reach(g, [fail_target], {n})
+        common = r_succ & r_fail
+        if not common:
+            kinds[n] = COND_NONJOINING
+            branch_members[n] = {
+                SUCCESS: cf_only(r_succ),
+                FAILURE: cf_only(r_fail),
+            }
+            branch_stops[n] = {
+                SUCCESS: {m for m in r_succ if g.nodes[m] == STOP_NODE},
+                FAILURE: {m for m in r_fail if g.nodes[m] == STOP_NODE},
+            }
+        else:
+            # the join is the common node both branches reach before any
+            # other common node; a loop around the conditional may make
+            # the join's other predecessors common too
+            def entries(target: str) -> set[str]:
+                before = _reach(g, [target], common | {n})
+                after = {e.trg for m in before for _, e in g.out_edges(m)}
+                return ({target} | after) & common
+
+            candidates = sorted(entries(succ_target) & entries(fail_target))
+            if len(candidates) != 1:
+                raise GraphError(f"no unique join node for conditional {n!r}")
+            join = candidates[0]
+            kinds[n] = COND_JOINING
+            joins[n] = join
+            branch_members[n] = {
+                SUCCESS: cf_only(_reach(g, [succ_target], {n, join})),
+                FAILURE: cf_only(_reach(g, [fail_target], {n, join})),
+            }
+
+    return NodeClassification(
+        kinds=kinds,
+        joins=joins,
+        branch_stops=branch_stops,
+        branch_members=branch_members,
+        start=start,
+        first=first,
+    )

@@ -305,7 +305,12 @@ def test_branch_only_binding_is_not_bound_after_the_join(list_tg):
     }
     verdict = validate_control_flow(cfg)
     d = StoryDiagram(
-        list_tg, cfg, patterns, [("this", "Object")], verdict, classify_nodes(cfg)
+        list_tg,
+        cfg,
+        patterns,
+        [("this", "Object")],
+        verdict,
+        classify_nodes(cfg, verdict),
     )
     report = validate_binding_marks(d, analyze_scopes(d))
     assert not report.ok
@@ -326,7 +331,12 @@ def test_conditional_match_counts_only_along_success(list_tg):
     }
     verdict = validate_control_flow(cfg)
     d = StoryDiagram(
-        list_tg, cfg, patterns, [("this", "Object")], verdict, classify_nodes(cfg)
+        list_tg,
+        cfg,
+        patterns,
+        [("this", "Object")],
+        verdict,
+        classify_nodes(cfg, verdict),
     )
     report = validate_binding_marks(d, analyze_scopes(d))
     assert not report.ok
@@ -358,7 +368,12 @@ def test_deleted_variable_is_unbound_downstream(list_tg):
     }
     verdict = validate_control_flow(cfg)
     d = StoryDiagram(
-        list_tg, cfg, patterns, [("this", "Object")], verdict, classify_nodes(cfg)
+        list_tg,
+        cfg,
+        patterns,
+        [("this", "Object")],
+        verdict,
+        classify_nodes(cfg, verdict),
     )
     report = validate_binding_marks(d, analyze_scopes(d))
     assert not report.ok

@@ -9,7 +9,13 @@ import pytest
 
 from sdm.cli import main
 from sdm.diagram import load_story_diagram
-from sdm.graph import GraphBuilder, GraphError, find_isomorphism, validate_typing
+from sdm.graph import (
+    GraphBuilder,
+    GraphError,
+    IsoSet,
+    find_isomorphism,
+    validate_typing,
+)
 from sdm.rewrite import apply_rule, enumerate_language, find_matches, rule_from_dict
 from sdm.syntax import (
     CF_NODE,
@@ -27,6 +33,8 @@ from sdm.syntax import (
     STOP_NODE,
     SUCCESS,
     SYNTAX_TYPE_GRAPH,
+    CfgValidation,
+    DerivationStep,
     branch_targets,
     classify_nodes,
     export_rules,
@@ -41,7 +49,11 @@ from sdm.syntax import (
 
 from .builders import CFG_SHAPES, FIXTURES, cfg_of_shape, redirect_next_edge
 from .conftest import linked_list_tg, make_list
-from .oracles import reference_enumerate_language, reference_validate_control_flow
+from .oracles import (
+    reference_classify_nodes,
+    reference_enumerate_language,
+    reference_validate_control_flow,
+)
 
 
 def _apply_at(g, rule_name, a, b):
@@ -251,7 +263,7 @@ def test_replay_refuses_invalid_witness():
 
 def test_classify_chain():
     g = _apply_at(start_graph(), "insert-node", "start", "story")
-    cls = classify_nodes(g)
+    cls = classify_nodes(g, validate_control_flow(g))
     assert cls.start == "start"
     assert cls.first == "n#1"
     assert cls.kinds == {"n#1": SEQUENTIAL, "story": SEQUENTIAL}
@@ -260,7 +272,7 @@ def test_classify_chain():
 
 def test_classify_joining_conditional():
     g = _apply_at(start_graph(), "if-then", "start", "story")
-    cls = classify_nodes(g)
+    cls = classify_nodes(g, validate_control_flow(g))
     assert cls.kinds["n#1"] == COND_JOINING
     assert cls.joins["n#1"] == "story"
     assert cls.branch_members["n#1"] == {SUCCESS: {"n#2"}, FAILURE: set()}
@@ -269,7 +281,7 @@ def test_classify_joining_conditional():
 
 def test_classify_nonjoining_conditional():
     g = _apply_at(start_graph(), "branch-failure-node-stop", "start", "story")
-    cls = classify_nodes(g)
+    cls = classify_nodes(g, validate_control_flow(g))
     head = cls.first
     assert cls.kinds[head] == COND_NONJOINING
     assert cls.branch_members[head][SUCCESS] == {"story"}
@@ -280,12 +292,12 @@ def test_classify_nonjoining_conditional():
 
 def test_classify_loops_both_polarities():
     g = _apply_at(start_graph(), "while-success-body", "start", "story")
-    cls = classify_nodes(g)
+    cls = classify_nodes(g, validate_control_flow(g))
     assert cls.kinds["n#1"] == LOOP_HEAD_SUCCESS
     assert cls.branch_members["n#1"] == {SUCCESS: {"n#2"}, FAILURE: set()}
 
     g2 = _apply_at(start_graph(), "while-failure-direct", "story", "stop")
-    cls2 = classify_nodes(g2)
+    cls2 = classify_nodes(g2, validate_control_flow(g2))
     assert cls2.kinds["n#1"] == LOOP_HEAD_FAILURE
     assert cls2.branch_members["n#1"] == {SUCCESS: set(), FAILURE: set()}
 
@@ -309,8 +321,72 @@ def test_classify_rejects_malformed_graphs():
         .edge("e1", NEXT, "a", "stop")
         .build()
     )
+    verdict = validate_control_flow(no_start)
+    assert not verdict.ok
     with pytest.raises(GraphError):
-        classify_nodes(no_start)
+        classify_nodes(no_start, verdict)
+
+
+def _forward_step(rule, match, out):
+    created = {r: out.rhs_node_map[r] for r in rule.created_rhs_nodes()}
+    return DerivationStep(rule.name, match.node_map["a"], match.node_map["b"], created)
+
+
+def _members_with_witnesses(bound):
+    """One member per isomorphism class up to `bound` nodes, each with the
+    forward derivation that first reached it as its witness."""
+    frontier = [(start_graph(), [])]
+    members, seen = list(frontier), IsoSet()
+    seen.add(start_graph())
+    while frontier:
+        grown = []
+        for g, steps in frontier:
+            for rule in syntax_rules():
+                if len(g.nodes) + len(rule.created_rhs_nodes()) > bound:
+                    continue
+                for match in find_matches(rule, g):
+                    out = apply_rule(rule, match, g)
+                    if seen.add(out.result):
+                        step = _forward_step(rule, match, out)
+                        grown.append((out.result, steps + [step]))
+        members += grown
+        frontier = grown
+    base = start_graph()
+    return [(g, CfgValidation(True, derivation=s, base=base)) for g, s in members]
+
+
+def _random_derivation(rng, size):
+    """A graph grown by random rule applications to at least `size`
+    nodes, with the steps that grew it as its witness."""
+    g, steps = start_graph(), []
+    while len(g.nodes) < size:
+        rule = rng.choice(syntax_rules())
+        match = rng.choice(find_matches(rule, g))
+        out = apply_rule(rule, match, g)
+        steps.append(_forward_step(rule, match, out))
+        g = out.result
+    return g, CfgValidation(True, derivation=steps, base=start_graph())
+
+
+def test_classify_nodes_equals_the_reference():
+    # roles read off a witness, the validator's or the one a forward
+    # derivation records, are the roles dominator analysis finds
+    cases = _members_with_witnesses(7)
+    assert len(cases) == 1061  # pairwise non-isomorphic, so all of them
+    for shape in CFG_SHAPES:
+        for size in (7, 13, 21, 31):
+            g = cfg_of_shape(shape, size).build()
+            cases.append((g, validate_control_flow(g)))
+    for path in sorted(FIXTURES.glob("*.diagram.json")):
+        if path.name != "invalid_cfg.diagram.json":
+            d = load_story_diagram(path)
+            cases.append((d.cfg, d.validation))
+    rng = random.Random(10)
+    cases += [_random_derivation(rng, rng.randint(8, 30)) for _ in range(150)]
+    rules_used = {step.rule for _, v in cases for step in v.derivation}
+    assert rules_used == {r.name for r in syntax_rules()}
+    for g, verdict in cases:
+        assert classify_nodes(g, verdict) == reference_classify_nodes(g)
 
 
 def test_export_rules_round_trip(tmp_path):
