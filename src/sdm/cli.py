@@ -136,6 +136,17 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: bounds of 0 or less are usage errors."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built once per process."""
@@ -158,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     order.add_argument("--match-order", choices=["lex", "random"], default="lex")
     order.add_argument("--seed", type=int)
     budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--max-steps", type=int, default=10000)
+    budget.add_argument("--max-steps", type=_positive_int, default=10000)
 
     p = sub.add_parser("validate", help="check a story-diagram file")
     p.add_argument("diagram")
@@ -178,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "oracle", parents=[shared, budget], help="cross-check a run denotationally"
     )
-    p.add_argument("--model-bound", type=int, default=6)
+    p.add_argument("--model-bound", type=_positive_int, default=6)
 
     return parser
 

@@ -7,7 +7,8 @@ applicability, while loops unroll to a bound and admit being
 incomplete. Bindings and scopes do not exist at this level, which is
 exactly what makes the comparison against the step interpreter
 interesting: the two semantics agree on all-success runs and diverge
-in documented ways around failures.
+in documented ways around failures. A rule is applied once per twin
+orbit of its matches, and a condition's one search picks its branch.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .diagram import StoryDiagram
-from .graph import GraphError, IsoSet, TypedGraph
+from .graph import GraphError, IsoSet, TypedGraph, twin_classes
 from .interp import Trace, replay
-from .rewrite import Rule, apply_rule, find_matches
+from .rewrite import Match, Rule, apply_rule, find_matches
 from .syntax import (
     COND_JOINING,
     COND_NONJOINING,
@@ -44,11 +45,13 @@ class SemSet:
     Two pairs collide when their inputs are isomorphic and their
     outputs are isomorphic. `incomplete` records that some while-loop
     unrolling hit the depth bound, so absence from the set proves
-    nothing.
+    nothing. `matched` records, on a set `sem_node` built, that its rule
+    was applicable.
     """
 
     def __init__(self, incomplete: bool = False) -> None:
         self.incomplete = incomplete
+        self.matched = False
         self._pairs = IsoSet()
 
     def add(self, g: TypedGraph, h: TypedGraph) -> None:
@@ -163,16 +166,15 @@ def evaluate(expr: DenotExpr, g: TypedGraph, depth: int = DEFAULT_UNROLL_DEPTH) 
         return out
     if isinstance(expr, IfExpr):
         entry = sem_node(expr.cond, g)  # {(g,g)} when inapplicable
-        branch = expr.then if find_matches(expr.cond, g, first=True) else expr.orelse
+        branch = expr.then if entry.matched else expr.orelse
         return _compose(entry, branch, depth)
     if isinstance(expr, WhileExpr):
-        if not find_matches(expr.cond, g, first=True):
-            out = SemSet()
-            out.add(g, g)
-            return out
+        entry = sem_node(expr.cond, g)
+        if not entry.matched:
+            return entry
         if depth == 0:
             return SemSet(incomplete=True)
-        one_pass = _compose(sem_node(expr.cond, g), expr.body, depth)
+        one_pass = _compose(entry, expr.body, depth)
         return _compose(one_pass, expr, depth - 1)
     raise GraphError(f"unknown expression {expr!r}")
 
@@ -181,13 +183,23 @@ def evaluate(expr: DenotExpr, g: TypedGraph, depth: int = DEFAULT_UNROLL_DEPTH) 
 
 
 def sem_node(r: Rule, g: TypedGraph) -> SemSet:
-    """One pair per match of r in g; {(g,g)} when r is inapplicable."""
+    """One pair per match of r in g; {(g,g)} when r is inapplicable.
+
+    Matches whose lhs nodes, in id order, land in the same twin classes
+    differ by an automorphism of g, parallel edges being interchangeable
+    too, so only the first in lex order of each such orbit is applied."""
     out = SemSet()
     matches = find_matches(r, g)
+    out.matched = bool(matches)
     if not matches:
         out.add(g, g)
         return out
+    rep = {n: twins[0] for twins in twin_classes(g) for n in twins}
+    lhs = r.lhs.node_ids()
+    orbits: dict[tuple, Match] = {}
     for m in matches:
+        orbits.setdefault(tuple(rep[m.node_map[n]] for n in lhs), m)
+    for m in orbits.values():
         out.add(g, apply_rule(r, m, g).result)
     return out
 

@@ -207,6 +207,8 @@ def analyze_scopes(d: StoryDiagram) -> ScopeTree:
     for cond, per_polarity in cls.branch_members.items():
         for polarity in (SUCCESS, FAILURE):
             member_sets[(cond, polarity)] = set(per_polarity.get(polarity, set()))
+            if cond in member_sets[(cond, polarity)]:
+                raise DiagramError(f"conditional {cond!r} is in its own branch")
 
     def home(node: str) -> Optional[tuple[str, str]]:
         holding = [key for key, members in member_sets.items() if node in members]
@@ -240,6 +242,11 @@ def analyze_scopes(d: StoryDiagram) -> ScopeTree:
                 conditional=cond,
                 polarity=polarity,
             )
+    for tid in templates:  # unless parents cycle, this many steps end `chain`
+        for _ in templates:
+            tid = None if tid is None else templates[tid].parent
+        if tid is not None:
+            raise DiagramError(f"branch scopes nest in a cycle through {tid!r}")
     for n in cf_nodes:
         tid = template_id(homes[n])
         node_template[n] = tid

@@ -549,6 +549,20 @@ def iso_signature(g: TypedGraph) -> tuple:
     return g._signature
 
 
+def twin_classes(g: TypedGraph) -> list[list[str]]:
+    """The nodes of g grouped into twins, each class in id order. Twins share
+    their type and their typed in- and out-neighbours with multiplicity, a
+    self-loop counted as a loop, so no edge joins two twins and any
+    permutation of a class is an automorphism."""
+    classes: dict[tuple, list[str]] = {}
+    for n in g.node_ids():
+        outs = [(e.type, () if e.trg == n else (e.trg,)) for _, e in g.out_edges(n)]
+        ins = [(e.type, () if e.src == n else (e.src,)) for _, e in g.in_edges(n)]
+        key = (g.nodes[n], tuple(sorted(outs)), tuple(sorted(ins)))
+        classes.setdefault(key, []).append(n)
+    return list(classes.values())
+
+
 def find_isomorphism(g: TypedGraph, h: TypedGraph) -> Optional[PartialMorphism]:
     """Deterministic search for a type-exact isomorphism g -> h.
 
@@ -574,8 +588,9 @@ class IsoSet:
 
     Members are bucketed by `iso_signature`, componentwise for tuples
     and cached on each graph, and compared within a bucket by
-    `find_isomorphism`, except that an object matches itself without a
-    search. Iteration runs bucket by bucket, in insertion order.
+    `find_isomorphism`, except that a graph matches itself, or one equal
+    to it by value, without a search. Iteration runs bucket by bucket, in
+    insertion order.
     """
 
     def __init__(self) -> None:
@@ -588,7 +603,8 @@ class IsoSet:
         key = tuple(iso_signature(p) for p in parts)
         for member in self._buckets.get(key, ()):
             others = (member,) if isinstance(member, TypedGraph) else member
-            if all(a is b or find_isomorphism(a, b) for a, b in zip(parts, others)):
+            pairs = zip(parts, others)
+            if all(a is b or a == b or find_isomorphism(a, b) for a, b in pairs):
                 return key, True
         return key, False
 

@@ -224,7 +224,8 @@ def apply_rule(rule: Rule, match: Match, host: TypedGraph) -> ApplyResult:
     mapping plus every edge incident to a deleted node. Survivors keep
     their ids; created elements get n#k / e#k ids numbered past any
     already present in the host. Deriving the result from the host makes
-    an application cost what the rule touches.
+    an application cost what the rule touches; an application that
+    deletes and creates nothing returns the host itself.
     """
     if match.rule is not rule:
         raise GraphError("match was produced for a different rule")
@@ -260,10 +261,12 @@ def apply_rule(rule: Rule, match: Match, host: TypedGraph) -> ApplyResult:
             redge.type, rhs_node_map[redge.src], rhs_node_map[redge.trg]
         )
 
-    # deleting the holder of a nonzero mark may lower it: rescan on first use
-    lowered = any(f"{k}#{m}" in deleted for k, m in zip("ne", host_marks) if m)
-    marks = None if lowered else (n_mark, e_mark)
-    result = TypedGraph._derive(host, deleted, new_nodes, new_edges, marks)
+    result = host  # a graph never changes, so a no-op's result is its host
+    if deleted or new_nodes or new_edges:
+        # deleting the holder of a nonzero mark may lower it: rescan on first use
+        lowered = any(f"{k}#{m}" in deleted for k, m in zip("ne", host_marks) if m)
+        marks = None if lowered else (n_mark, e_mark)
+        result = TypedGraph._derive(host, deleted, new_nodes, new_edges, marks)
     return ApplyResult(
         result=result,
         comorphism=_Survivors(host, result, frozenset(deleted)),

@@ -67,6 +67,31 @@ def random_graph(
     return TypedGraph(tg, nodes, edges)
 
 
+def with_twins(rng: random.Random, g: TypedGraph) -> TypedGraph:
+    """g plus one to three copies of a random node, each with that node's
+    edges, a self-loop copied as the copy's own self-loop. Half the time
+    the node first gets a self-loop, if its type admits one."""
+    n = rng.choice(g.node_ids())
+    nodes, edges = dict(g.nodes), dict(g.edges)
+    loops = [
+        t
+        for t, et in sorted(g.tg.edge_types.items())
+        if g.tg.conforms(g.nodes[n], et.src) and g.tg.conforms(g.nodes[n], et.trg)
+    ]
+    if loops and rng.random() < 0.5:
+        edges["loop"] = Edge(rng.choice(loops), n, n)
+        g = TypedGraph(g.tg, nodes, edges)
+    for k in range(rng.randint(1, 3)):
+        twin = f"{n}t{k}"
+        nodes[twin] = g.nodes[n]
+        for eid, e in g.edges.items():
+            if n in (e.src, e.trg):
+                src = twin if e.src == n else e.src
+                trg = twin if e.trg == n else e.trg
+                edges[f"{eid}t{k}"] = Edge(e.type, src, trg)
+    return TypedGraph(g.tg, nodes, edges)
+
+
 def shuffled_copy(rng: random.Random, g: TypedGraph) -> TypedGraph:
     """Isomorphic copy with renamed ids."""
     node_names = {n: f"m{i}" for i, n in enumerate(rng.sample(g.node_ids(), len(g.nodes)))}

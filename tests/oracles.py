@@ -7,14 +7,16 @@ package's earlier backtracking matcher, which scans the sorted edge set
 for every adjacency query and sorts its full match list, and the
 earlier fresh-id scan over every id of a graph.
 
-Three more are the package's earlier versions of a fast path, kept to
+Four more are the package's earlier versions of a fast path, kept to
 check that the fast path changes no result. They share the package's
-matcher, rewriting and `IsoSet`, and differ only in what the fast path
-changed: the control-flow validator that matches each inverse rule
-unpinned and scans every host edge to test exactness, language
-enumeration that builds every application before pruning by the node
-bound, and node classification that finds loops and joins by dominator
-analysis instead of reading them off the derivation witness.
+matcher and rewriting, and differ only in what the fast path changed:
+the control-flow validator that matches each inverse rule unpinned and
+scans every host edge to test exactness, language enumeration that
+builds every application before pruning by the node bound, node
+classification that finds loops and joins by dominator analysis instead
+of reading them off the derivation witness, and a rule's pair set that
+applies every match and deduplicates by brute-force isomorphism instead
+of applying one match per twin orbit.
 """
 
 from __future__ import annotations
@@ -34,7 +36,14 @@ from sdm.graph import (
     iso_signature,
     validate_typing,
 )
-from sdm.rewrite import GraphGrammar, LanguageResult, Match, apply_rule, find_matches
+from sdm.rewrite import (
+    GraphGrammar,
+    LanguageResult,
+    Match,
+    Rule,
+    apply_rule,
+    find_matches,
+)
 from sdm.syntax import (
     ABSTRACT,
     CF_NODE,
@@ -433,6 +442,31 @@ def reference_enumerate_language(grammar: GraphGrammar, max_nodes: int) -> Langu
         frontier = next_frontier
     graphs = sorted(members, key=iso_signature)
     return LanguageResult(graphs, max_nodes, members, warnings)
+
+
+def reference_sem_node(
+    rule: Rule, g: TypedGraph
+) -> list[tuple[TypedGraph, TypedGraph]]:
+    """`sem_node`'s pairs from every match: each result in lex match order
+    is kept unless a kept one is isomorphic to it by brute force. They are
+    listed as a `SemSet` lists them: grouped by signature, groups in order
+    of first arrival."""
+    matches = find_matches(rule, g)
+    if not matches:
+        return [(g, g)]
+    kept: list[TypedGraph] = []
+    for match in matches:
+        h = apply_rule(rule, match, g).result
+        types = sorted(h.nodes.values())
+        if not any(
+            sorted(k.nodes.values()) == types and brute_force_isomorphic(h, k)
+            for k in kept
+        ):
+            kept.append(h)
+    first: dict[tuple, int] = {}
+    for i, h in enumerate(kept):
+        first.setdefault(iso_signature(h), i)
+    return [(g, h) for h in sorted(kept, key=lambda h: first[iso_signature(h)])]
 
 
 def reference_classify_nodes(g: TypedGraph) -> NodeClassification:

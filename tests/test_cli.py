@@ -304,3 +304,23 @@ def test_oracle_refuses_an_oversized_model(capsys, tmp_path):
     )
     assert code == 6
     assert "oracle refused" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize(
+    "command, option",
+    [("run", "--max-steps"), ("oracle", "--max-steps"), ("oracle", "--model-bound")],
+)
+def test_bounds_of_zero_or_less_are_usage_errors(
+    capsys, tmp_path, command, option, value
+):
+    argv = [command, DNO, LIST3, "--this", "o1", f"{option}={value}"]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "o"), "--trace", str(tmp_path / "t.jsonl")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: must be positive, got {value}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "t.jsonl").exists()

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+import sdm.denot
 from sdm.denot import (
     IfExpr,
     NodeExpr,
@@ -20,9 +23,9 @@ from sdm.denot import (
     sem_while,
 )
 from sdm.diagram import load_story_diagram
-from sdm.graph import GraphError, find_isomorphism, parse_graph
+from sdm.graph import GraphError, PartialMorphism, find_isomorphism, parse_graph
 from sdm.interp import Trace, initialize, run
-from sdm.rewrite import apply_rule, find_matches
+from sdm.rewrite import NAC, Rule, apply_rule, find_matches
 
 from .builders import (
     FIXTURES,
@@ -32,7 +35,8 @@ from .builders import (
     rule_of,
     story_diagram,
 )
-from .conftest import make_list
+from .conftest import make_list, random_graph, with_twins, zoo_tg
+from .oracles import reference_sem_node
 
 
 def load_diagram(name):
@@ -102,6 +106,86 @@ def test_sem_node_agrees_with_direct_rule_application(list_tg):
     for h in direct:
         assert sem.contains(g, h)
     assert len(sem) == 2  # cutting either end is the same shape
+
+
+def _random_sem_rule(rng: random.Random, tg) -> Rule:
+    """A rule over tg that deletes, creates, only reads, or carries a NAC."""
+    lhs = random_graph(rng, tg, 3, 2)
+    kind = rng.choice(["delete", "create", "read", "nac"])
+    odds = 0.5 if kind == "delete" else 1.0
+    nodes = {n: t for n, t in lhs.nodes.items() if rng.random() < odds}
+    edges = [
+        (eid, e.type, e.src, e.trg)
+        for eid, e in sorted(lhs.edges.items())
+        if e.src in nodes and e.trg in nodes and rng.random() < odds
+    ]
+    kept = dict(nodes)
+    if kind == "create":
+        nodes["fresh"] = rng.choice(sorted(tg.node_types))
+        for i in range(rng.randint(0, 2)):
+            etype = rng.choice(sorted(tg.edge_types))
+            decl = tg.edge_types[etype]
+            srcs = [n for n, t in sorted(nodes.items()) if tg.conforms(t, decl.src)]
+            trgs = [n for n, t in sorted(nodes.items()) if tg.conforms(t, decl.trg)]
+            if srcs and trgs:
+                edges.append((f"new{i}", etype, rng.choice(srcs), rng.choice(trgs)))
+    rhs = graph_of(tg, nodes, edges)
+    preserved = {eid for eid, *_ in edges if eid in lhs.edges}
+    mapping = PartialMorphism(
+        lhs, rhs, {n: n for n in kept}, {e: e for e in preserved}
+    )
+    nacs = ()
+    if kind == "nac":
+        # forbid one more edge between two lhs nodes, or out to a fresh toy
+        src = rng.choice(lhs.node_ids())
+        nac_nodes = dict(lhs.nodes)
+        if rng.random() < 0.5 and tg.conforms(lhs.nodes[src], "Animal"):
+            nac_nodes["toy"] = "Toy"
+            extra = ("forbidden", "owns", src, "toy")
+        else:
+            trg = rng.choice(lhs.node_ids())
+            extra = ("forbidden", "chases", src, trg)
+            if not all(tg.conforms(lhs.nodes[n], "Animal") for n in (src, trg)):
+                extra = None
+        if extra is not None:
+            links = [(eid, e.type, e.src, e.trg) for eid, e in lhs.edges.items()]
+            nac_graph = graph_of(tg, nac_nodes, links + [extra])
+            embedding = PartialMorphism(
+                lhs, nac_graph, {n: n for n in lhs.nodes}, {e: e for e in lhs.edges}
+            )
+            nacs = (NAC(nac_graph, embedding),)
+    return Rule(f"random-{kind}", lhs, rhs, mapping, nacs)
+
+
+def test_sem_node_equals_the_unpruned_reference(monkeypatch):
+    # one application per twin orbit must keep the very pairs, in the very
+    # order, that applying every match and deduplicating gives
+    applied = []
+
+    def counted(rule, match, host):
+        applied.append(rule.name)
+        return apply_rule(rule, match, host)
+
+    monkeypatch.setattr(sdm.denot, "apply_rule", counted)
+    rng = random.Random(59)
+    tg = zoo_tg()
+    matched = looped = parallel = 0
+    kinds: dict[str, int] = {}
+    for _ in range(600):
+        host = random_graph(rng, tg, 4, 6)
+        if rng.random() < 0.8:
+            host = with_twins(rng, host)
+        rule = _random_sem_rule(rng, tg)
+        assert sem_node(rule, host).pairs() == reference_sem_node(rule, host)
+        n = len(find_matches(rule, host))
+        if n > 1:
+            ends = [(e.type, e.src, e.trg) for e in host.edges.values()]
+            looped += any(src == trg for _, src, trg in ends)
+            parallel += len(set(ends)) < len(ends)
+        matched += n
+        kinds[rule.name] = kinds.get(rule.name, 0) + bool(n)
+    assert len(applied) < matched / 2
+    assert min(kinds.values()) > 30 and looped > 50 and parallel > 30, kinds
 
 
 # -- sequencing, conditionals, loops -----------------------------------------

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import json
+import signal
 
 import pytest
 
@@ -170,6 +173,54 @@ def test_delete_next_object_scope_tree_shape():
     assert tree.node_template["unlink"] == "hasTwo:success"
     # nesting levels: root, outer branches, inner branches
     assert max(len(tree.chain(t)) for t in tree.templates) == 3
+
+
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    """Turn a hang into a failure: raise TimeoutError after the given time."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _with_branches(d, members):
+    cls = dataclasses.replace(d.classification, branch_members=members)
+    return dataclasses.replace(d, classification=cls)
+
+
+def test_a_conditional_in_its_own_branch_is_rejected(list_tg):
+    # scope templates hang off the branch holding their conditional, so
+    # a conditional inside its own branch would be its own ancestor
+    noop = ll_noop(list_tg)
+    d = story_diagram(
+        list_tg, joining_cfg(), {"cond": noop, "branch": noop, "join": noop}
+    )
+    looped = _with_branches(
+        d, {"cond": {"success": {"cond", "branch"}, "failure": set()}}
+    )
+    with _deadline(2), pytest.raises(DiagramError, match="in its own branch"):
+        analyze_scopes(looped)
+
+
+def test_conditionals_in_each_others_branches_are_rejected():
+    d = load_story_diagram(str(FIXTURES / "delete_next_object.diagram.json"))
+    crossed = _with_branches(
+        d,
+        {
+            "hasOne": {"success": {"hasTwo"}, "failure": set()},
+            "hasTwo": {"success": set(), "failure": {"hasOne"}},
+        },
+    )
+    with _deadline(2), pytest.raises(DiagramError, match="cycle"):
+        analyze_scopes(crossed)
 
 
 def test_variables_declared_at_first_occurrence():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import networkx as nx
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sdm.graph
 from sdm.denot import SemSet
 from sdm.graph import (
     Edge,
@@ -25,6 +27,7 @@ from sdm.graph import (
     parse_type_graph,
     serialize_graph,
     serialize_type_graph,
+    twin_classes,
     validate_typing,
 )
 
@@ -34,6 +37,7 @@ from .conftest import (
     make_list,
     random_graph,
     shuffled_copy,
+    with_twins,
     zoo_tg,
 )
 from .oracles import brute_force_isomorphic
@@ -287,6 +291,61 @@ def test_cycles_the_signature_cannot_separate(one, many):
     assert sem.contains(turned, ring) and sem.contains(ring, turned)
     assert not sem.contains(rings, ring)
     assert not sem.contains(ring, rings)
+
+
+def test_isoset_matches_equal_values_without_a_search(monkeypatch):
+    def no_search(g, h):
+        raise AssertionError("an equal-valued member needs no search")
+
+    monkeypatch.setattr(sdm.graph, "find_isomorphism", no_search)
+    tg = linked_list_tg()
+    g, copy = make_list(tg, 3), make_list(tg, 3)
+    assert copy is not g and copy == g
+    members = IsoSet()
+    assert members.add(g)
+    assert copy in members and not members.add(copy)
+    assert list(members) == [g]
+    sem = SemSet()
+    sem.add(g, g)
+    assert sem.contains(copy, make_list(tg, 3))
+
+
+def _transposition(g: TypedGraph, a: str, b: str) -> PartialMorphism:
+    """The map g -> g exchanging nodes a and b, each group of parallel
+    edges sent onto the group between the exchanged ends, in id order."""
+    swap = {a: b, b: a}
+    groups: dict[tuple, list[str]] = {}
+    for eid in g.edge_ids():
+        e = g.edges[eid]
+        groups.setdefault((e.type, e.src, e.trg), []).append(eid)
+    edge_map = {}
+    for (etype, src, trg), ids in groups.items():
+        images = groups.get((etype, swap.get(src, src), swap.get(trg, trg)), [])
+        assert len(images) == len(ids), (a, b, etype, src, trg)
+        edge_map.update(zip(ids, images))
+    return PartialMorphism(g, g, {n: swap.get(n, n) for n in g.nodes}, edge_map)
+
+
+def test_twin_transpositions_are_automorphisms():
+    rng = random.Random(41)
+    tg = zoo_tg()
+    swaps = looped = 0
+    for _ in range(300):
+        g = random_graph(rng, tg, 5, rng.choice([2, 5, 10]))
+        if rng.random() < 0.7:
+            g = with_twins(rng, g)
+        classes = twin_classes(g)
+        assert sorted(n for c in classes for n in c) == g.node_ids()
+        for c in classes:
+            assert c == sorted(c) and len({g.nodes[n] for n in c}) == 1
+            for a, b in itertools.combinations(c, 2):
+                swap = _transposition(g, a, b)
+                assert swap.is_total() and swap.is_injective()
+                swaps += 1
+                # a self-loop sorted against a same-typed edge to another node
+                ends = {(e.type, e.trg == a) for _, e in g.out_edges(a)}
+                looped += any((t, not loop) in ends for t, loop in ends)
+    assert swaps > 300 and looped > 20
 
 
 def test_round_trip_identity():

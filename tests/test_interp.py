@@ -14,6 +14,7 @@ from sdm.denot import cross_check
 from sdm.graph import (
     FormatError,
     GraphError,
+    TypedGraph,
     graph_from_dict,
     parse_graph,
     serialize_graph,
@@ -34,6 +35,8 @@ from sdm.interp import (
     run,
     step,
 )
+
+from sdm.rewrite import apply_rule
 
 from .builders import FIXTURES, pattern_of, rule_of, seq_cfg, story_diagram
 from .conftest import zoo_tg
@@ -759,6 +762,40 @@ def test_variable_index_keeps_state_graph_bytes(
     indexed = state_graphs()
     monkeypatch.setattr(Configuration, "_variable_for", _linear_variable_for)
     assert state_graphs() == indexed
+
+
+@pytest.mark.parametrize("order", [{}, {"match_order": "random", "seed": 7}])
+def test_head_steps_keep_the_model_object(while_star, monkeypatch, order):
+    # the head's identity rule changes nothing, so its step keeps the very
+    # model object; copying the model there instead writes the same bytes
+    model = load_model("star5.model.json", while_star.tg)
+
+    def outputs() -> tuple[str, str, str]:
+        c, trace = run(initialize(while_star, model, "o0", **order))
+        state = serialize_graph(c.state_graph())
+        return trace.to_jsonl(), serialize_graph(c.model), state
+
+    c = initialize(while_star, model, "o0", **order)
+    kept = 0
+    while c.status == RUNNING:
+        before, node = c.model, c.token_at
+        step(c)
+        kept += node == "head" and c.model is before
+    assert kept == 6  # five matches and the failing exit test
+    shared = outputs()
+
+    copies = []
+
+    def copying(rule, match, host):
+        out = apply_rule(rule, match, host)
+        if out.result is host:
+            out.result = TypedGraph._derive(host, set(), {}, {})
+            copies.append(out.result)
+        return out
+
+    monkeypatch.setattr(sdm.interp, "apply_rule", copying)
+    assert outputs() == shared
+    assert len(copies) == 6  # the five matched heads and `tail`'s touch
 
 
 def test_a_step_shares_every_adjacency_list_it_does_not_touch(while_star):

@@ -438,6 +438,26 @@ def test_deleting_the_highest_fresh_ids_frees_their_numbers():
     assert apply_at(append, host, "o1").created == {"n#2", "e#2"}
 
 
+def test_apply_rule_returns_the_host_when_nothing_changes():
+    # a graph never changes, so an application that deletes and creates
+    # nothing needs no copy: its result is the host, its comorphism the
+    # identity
+    tg = linked_list_tg()
+    host = make_list(tg, 3)
+    link = GraphBuilder(tg).node("x", "Object").node("y", "Object")
+    lhs = link.edge("xy", "next", "x", "y").build()
+    identity = PartialMorphism(lhs, lhs, {"x": "x", "y": "y"}, {"xy": "xy"})
+    rule = Rule("read", lhs, lhs, identity)
+    match = find_matches(rule, host)[1]
+    out = apply_rule(rule, match, host)
+    assert out.result is host
+    assert out.created == set() and out.deleted == set()
+    assert out.comorphism.node_map == {n: n for n in host.nodes}
+    assert out.comorphism.edge_map == {e: e for e in host.edges}
+    assert out.rhs_node_map == {"x": "o2", "y": "o3"}
+    assert out.rhs_edge_map == {"xy": "l2"}
+
+
 def test_apply_rejects_stale_match():
     tg = linked_list_tg()
     host = make_list(tg, 2)
