@@ -1,10 +1,11 @@
 """Story-driven modelling: graph rewriting with an executable semantics.
 
-The package is layered: typed graphs and morphisms (`graph`), SPO
-rewriting with NACs (`rewrite`), the control-flow grammar and validator
-(`syntax`), story diagrams with scope analysis (`diagram`), the step
-interpreter (`interp`), the denotational oracle (`denot`), and the
-command line (`cli`).
+The package is layered: typed graphs and morphisms (`graph`), decided
+isomorphic by canonical forms (`canon`), SPO rewriting with NACs
+(`rewrite`), the control-flow grammar and validator (`syntax`), story
+diagrams with scope analysis (`diagram`), the step interpreter
+(`interp`), the denotational oracle (`denot`), and the command line
+(`cli`).
 """
 
 from .graph import (

@@ -4,6 +4,10 @@ Graphs are immutable values after construction; rewriting produces new
 graphs. Node and edge ids are opaque strings sharing one namespace per
 graph, and every deterministic ordering in the package is lexicographic
 id order.
+
+One matcher core, `_enumerate_monos`, serves matching, NAC checks and
+the validator's reduction. Canonical keys (`canonical_key`) decide
+isomorphism; the matcher decides it only where a key is over budget.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
+
+from .canon import canonical_form
 
 
 class GraphError(Exception):
@@ -178,6 +184,7 @@ class TypedGraph:
         self._adjacency: Optional[tuple[dict, dict]] = None
         self._marks: Optional[tuple[int, int]] = None
         self._signature: Optional[tuple] = None
+        self._canon: Optional[tuple] = None
         overlap = self.nodes.keys() & self.edges.keys()
         if overlap:
             raise GraphError(f"ids used for both nodes and edges: {sorted(overlap)}")
@@ -201,7 +208,7 @@ class TypedGraph:
         `__init__` checks."""
         g = cls.__new__(cls)
         g.tg, g.nodes, g.edges = host.tg, dict(host.nodes), dict(host.edges)
-        g._marks, g._signature = marks, None
+        g._marks, g._signature, g._canon = marks, None, None
         outs, ins = g._adjacency = tuple(dict(side) for side in host._index())
         for x in gone:
             if x in g.nodes:
@@ -534,16 +541,17 @@ def iso_signature(g: TypedGraph) -> tuple:
     """Cheap isomorphism-invariant key for bucketing graphs, computed
     once per graph."""
     if g._signature is None:
+        out_index, in_index = g._index()
         per_node = []
-        for nid in g.node_ids():
+        for nid, ntype in g.nodes.items():
             outs: dict[str, int] = {}
             ins: dict[str, int] = {}
-            for _, e in g.out_edges(nid):
+            for _, e in out_index.get(nid, ()):
                 outs[e.type] = outs.get(e.type, 0) + 1
-            for _, e in g.in_edges(nid):
+            for _, e in in_index.get(nid, ()):
                 ins[e.type] = ins.get(e.type, 0) + 1
             per_node.append(
-                (g.nodes[nid], tuple(sorted(outs.items())), tuple(sorted(ins.items())))
+                (ntype, tuple(sorted(outs.items())), tuple(sorted(ins.items())))
             )
         g._signature = (len(g.nodes), len(g.edges), tuple(sorted(per_node)))
     return g._signature
@@ -563,18 +571,41 @@ def twin_classes(g: TypedGraph) -> list[list[str]]:
     return list(classes.values())
 
 
-def find_isomorphism(g: TypedGraph, h: TypedGraph) -> Optional[PartialMorphism]:
-    """Deterministic search for a type-exact isomorphism g -> h.
+def _canonical(g: TypedGraph) -> tuple:
+    """g's key and labelling, computed once; both None over budget."""
+    if g._canon is None:
+        nodes = list(g.nodes)
+        index = {n: i for i, n in enumerate(nodes)}
 
-    Returns a total bijective morphism or None. Both graphs must share
-    one type graph.
-    """
-    if g.tg != h.tg:
-        raise GraphError("isomorphism requires a shared type graph")
-    if len(g.nodes) != len(h.nodes) or len(g.edges) != len(h.edges):
-        return None
-    if iso_signature(g) != iso_signature(h):
-        return None
+        def twins() -> list[int]:
+            twin = [0] * len(nodes)
+            for k, cls in enumerate(twin_classes(g)):
+                for n in cls:
+                    twin[index[n]] = k
+            return twin
+
+        edges = [(index[e.src], index[e.trg], e.type) for e in g.edges.values()]
+        form = canonical_form(list(g.nodes.values()), edges, twins)
+        if form is None:
+            g._canon = (None, None)
+        else:
+            g._canon = (form[0], [nodes[i] for i in form[1]])
+    return g._canon
+
+
+def canonical_key(g: TypedGraph) -> Optional[tuple]:
+    """A key that two graphs over one type graph share exactly when they
+    are isomorphic, computed once per graph; None when the search for it
+    exceeds its leaf budget. See `sdm.canon.canonical_form`."""
+    return _canonical(g)[0]
+
+
+def _pairwise_isomorphism(
+    g: TypedGraph, h: TypedGraph
+) -> Optional[PartialMorphism]:
+    """The matcher's first occurrence of g in h; for graphs with equal
+    counts and signatures, a type-exact isomorphism or None. The fallback
+    for graphs whose keys are over budget."""
     # equal counts make the matcher's injective morphism bijective, and
     # equal node-type multisets make a bijection whose images conform
     # to their preimages' types keep every type exactly
@@ -583,41 +614,91 @@ def find_isomorphism(g: TypedGraph, h: TypedGraph) -> Optional[PartialMorphism]:
     return None
 
 
+def find_isomorphism(g: TypedGraph, h: TypedGraph) -> Optional[PartialMorphism]:
+    """A type-exact isomorphism g -> h, or None.
+
+    Both graphs must share one type graph. Their canonical keys decide,
+    and the bijection sends each node to the node at the same position of
+    the other's labelling. When a key is over budget, the pairwise search
+    decides.
+    """
+    if g.tg != h.tg:
+        raise GraphError("isomorphism requires a shared type graph")
+    if len(g.nodes) != len(h.nodes) or len(g.edges) != len(h.edges):
+        return None
+    if iso_signature(g) != iso_signature(h):
+        return None
+    (g_key, g_order), (h_key, h_order) = _canonical(g), _canonical(h)
+    if g_key is None or h_key is None:
+        return _pairwise_isomorphism(g, h)
+    if g_key != h_key:
+        return None
+    # with every node pinned to its image, the matcher only pairs the
+    # parallel edges of each (type, source, target) group, in id order
+    node_map, edge_map = next(_enumerate_monos(g, h, dict(zip(g_order, h_order))))
+    return PartialMorphism(g, h, node_map, edge_map)
+
+
 class IsoSet:
     """Graphs, or tuples of graphs, kept once per isomorphism class.
 
-    Members are bucketed by `iso_signature`, componentwise for tuples
-    and cached on each graph, and compared within a bucket by
-    `find_isomorphism`, except that a graph matches itself, or one equal
-    to it by value, without a search. Iteration runs bucket by bucket, in
-    insertion order.
+    Members are bucketed by `iso_signature`, componentwise for tuples. A
+    lone member matches itself, or a graph equal to it by value, without
+    a key. Once a bucket holds a second graph, its members are also held
+    by `canonical_key`, componentwise, and a graph matches the member with
+    its key over the same type graph. Parts whose keys are over budget
+    are compared by the pairwise search. Iteration runs bucket by bucket,
+    in insertion order.
     """
 
     def __init__(self) -> None:
         self._buckets: dict[tuple, list] = {}
+        self._keyed: dict[tuple, dict[tuple, list]] = {}
         self._size = 0
 
-    def _find(self, item) -> tuple[tuple, bool]:
-        # the item's bucket key, and whether an isomorphic member exists
-        parts = (item,) if isinstance(item, TypedGraph) else item
-        key = tuple(iso_signature(p) for p in parts)
-        for member in self._buckets.get(key, ()):
-            others = (member,) if isinstance(member, TypedGraph) else member
-            pairs = zip(parts, others)
-            if all(a is b or a == b or find_isomorphism(a, b) for a, b in pairs):
-                return key, True
-        return key, False
+    def _find(self, item) -> tuple[tuple, Optional[tuple], bool]:
+        # the item's bucket, its keys if they were needed, and whether an
+        # isomorphic member exists
+        parts = _parts(item)
+        signature = tuple([iso_signature(p) for p in parts])
+        bucket = self._buckets.get(signature)
+        if not bucket:
+            return signature, None, False
+        if len(bucket) == 1 and all(
+            a is b or a == b for a, b in zip(parts, _parts(bucket[0]))
+        ):
+            return signature, None, True
+        keyed = self._keyed.get(signature)
+        if keyed is None:
+            lone = bucket[0]
+            keyed = self._keyed[signature] = {_keys(_parts(lone)): [lone]}
+        keys = _keys(parts)
+        for member in keyed.get(keys, ()):
+            if all(
+                a.tg == b.tg
+                and (
+                    key is not None
+                    or a is b
+                    or a == b
+                    or _pairwise_isomorphism(a, b) is not None
+                )
+                for a, b, key in zip(parts, _parts(member), keys)
+            ):
+                return signature, keys, True
+        return signature, keys, False
 
     def add(self, item) -> bool:
         """Insert item unless an isomorphic member exists; True if inserted."""
-        key, found = self._find(item)
+        signature, keys, found = self._find(item)
         if not found:
-            self._buckets.setdefault(key, []).append(item)
+            self._buckets.setdefault(signature, []).append(item)
+            if keys is not None:
+                self._keyed[signature].setdefault(keys, []).append(item)
             self._size += 1
         return not found
 
     def __contains__(self, item) -> bool:
-        return self._find(item)[1]
+        return self._find(item)[2]
 
     def __iter__(self) -> Iterator:
         for bucket in self._buckets.values():
@@ -625,6 +706,14 @@ class IsoSet:
 
     def __len__(self) -> int:
         return self._size
+
+
+def _parts(item) -> tuple:
+    return (item,) if isinstance(item, TypedGraph) else item
+
+
+def _keys(parts: tuple) -> tuple:
+    return tuple([canonical_key(p) for p in parts])
 
 
 def serialize_graph(g: TypedGraph) -> str:

@@ -284,7 +284,9 @@ def enumerate_language(grammar: GraphGrammar, max_nodes: int) -> LanguageResult:
     when some rule shrinks node counts; that case is recorded as a
     warning in the result. Matches are injective, so every application
     of a rule changes the node count by the same amount, and a rule
-    whose results would all be pruned is not matched at all.
+    whose results would all be pruned is not matched at all. NAC-free
+    rules with equal left-hand sides share one match search per graph,
+    each still taking every match in lexicographic order.
     """
     if max_nodes < len(grammar.start.nodes):
         raise GraphError("max_nodes is below the start graph's node count")
@@ -298,17 +300,33 @@ def enumerate_language(grammar: GraphGrammar, max_nodes: int) -> LanguageResult:
     members = IsoSet()
     members.add(grammar.start)
     frontier = [grammar.start]
-    rules = [
-        (rule, len(rule.created_rhs_nodes()) - len(rule.deleted_lhs_nodes()))
-        for rule in sorted(grammar.rules, key=lambda r: r.name)
-    ]
+    sides: list[TypedGraph] = []  # the distinct left-hand sides of NAC-free rules
+    rules = []
+    for rule in sorted(grammar.rules, key=lambda r: r.name):
+        side = None
+        if not rule.nacs:
+            if rule.lhs not in sides:
+                sides.append(rule.lhs)
+            side = sides.index(rule.lhs)
+        growth = len(rule.created_rhs_nodes()) - len(rule.deleted_lhs_nodes())
+        rules.append((rule, growth, side))
     while frontier:
         next_frontier: list[TypedGraph] = []
         for g in frontier:
-            for rule, growth in rules:
+            found: dict[int, list] = {}
+            for rule, growth, side in rules:
                 if len(g.nodes) + growth > max_nodes:
                     continue
-                for match in find_matches(rule, g):
+                if side is None:
+                    matches = find_matches(rule, g)
+                else:
+                    if side not in found:
+                        found[side] = list(_enumerate_monos(sides[side], g, {}))
+                    matches = [
+                        Match(rule, PartialMorphism(rule.lhs, g, node_map, edge_map))
+                        for node_map, edge_map in found[side]
+                    ]
+                for match in matches:
                     h = apply_rule(rule, match, g).result
                     if len(h.nodes) <= max_nodes and members.add(h):
                         next_frontier.append(h)

@@ -12,7 +12,8 @@ check that the fast path changes no result. They share the package's
 matcher and rewriting, and differ only in what the fast path changed:
 the control-flow validator that matches each inverse rule unpinned and
 scans every host edge to test exactness, language enumeration that
-builds every application before pruning by the node bound, node
+builds every application before pruning by the node bound and
+deduplicates with networkx instead of canonical keys, node
 classification that finds loops and joins by dominator analysis instead
 of reading them off the derivation witness, and a rule's pair set that
 applies every match and deduplicates by brute-force isomorphism instead
@@ -24,6 +25,8 @@ from __future__ import annotations
 import itertools
 import re
 from typing import Iterator, Optional
+
+import networkx as nx
 
 from sdm.graph import (
     Edge,
@@ -66,6 +69,8 @@ from sdm.syntax import (
     syntax_rules,
 )
 
+from .conftest import as_networkx
+
 
 def brute_force_isomorphic(g: TypedGraph, h: TypedGraph) -> bool:
     """Try every type-respecting node bijection and check edge multisets."""
@@ -83,6 +88,16 @@ def brute_force_isomorphic(g: TypedGraph, h: TypedGraph) -> bool:
         if g_multiset == h_multiset:
             return True
     return False
+
+
+def networkx_isomorphic(g: TypedGraph, h: TypedGraph) -> bool:
+    """Isomorphism with node and edge types kept exactly, decided by networkx."""
+    return nx.is_isomorphic(
+        as_networkx(g),
+        as_networkx(h),
+        node_match=nx.isomorphism.categorical_node_match("type", None),
+        edge_match=nx.isomorphism.categorical_multiedge_match("type", None),
+    )
 
 
 def brute_force_matches(
@@ -419,7 +434,9 @@ def reference_validate_control_flow(g: TypedGraph) -> CfgValidation:
 
 def reference_enumerate_language(grammar: GraphGrammar, max_nodes: int) -> LanguageResult:
     """Breadth-first closure that applies every rule at every match and
-    only then drops results above the node bound."""
+    only then drops results above the node bound. Graphs are kept once per
+    isomorphism class, found with networkx within `iso_signature` buckets,
+    so the result lists them as an `IsoSet` would; its `members` is None."""
     if max_nodes < len(grammar.start.nodes):
         raise GraphError("max_nodes is below the start graph's node count")
     warnings = [
@@ -427,8 +444,7 @@ def reference_enumerate_language(grammar: GraphGrammar, max_nodes: int) -> Langu
         for rule in grammar.rules
         if rule.deleted_lhs_nodes()
     ]
-    members = IsoSet()
-    members.add(grammar.start)
+    buckets = {iso_signature(grammar.start): [grammar.start]}
     frontier = [grammar.start]
     rules = sorted(grammar.rules, key=lambda r: r.name)
     while frontier:
@@ -437,11 +453,16 @@ def reference_enumerate_language(grammar: GraphGrammar, max_nodes: int) -> Langu
             for rule in rules:
                 for match in find_matches(rule, g):
                     h = apply_rule(rule, match, g).result
-                    if len(h.nodes) <= max_nodes and members.add(h):
+                    if len(h.nodes) > max_nodes:
+                        continue
+                    bucket = buckets.setdefault(iso_signature(h), [])
+                    if not any(networkx_isomorphic(h, k) for k in bucket):
+                        bucket.append(h)
                         next_frontier.append(h)
         frontier = next_frontier
-    graphs = sorted(members, key=iso_signature)
-    return LanguageResult(graphs, max_nodes, members, warnings)
+    graphs = [g for bucket in buckets.values() for g in bucket]
+    graphs.sort(key=iso_signature)
+    return LanguageResult(graphs, max_nodes, None, warnings)
 
 
 def reference_sem_node(

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
+import time
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sdm.canon
 import sdm.graph
+from sdm.cli import main
 from sdm.denot import SemSet
 from sdm.graph import (
     Edge,
@@ -22,6 +25,7 @@ from sdm.graph import (
     PartialMorphism,
     TypedGraph,
     TypeGraph,
+    canonical_key,
     find_isomorphism,
     parse_graph,
     parse_type_graph,
@@ -30,9 +34,11 @@ from sdm.graph import (
     twin_classes,
     validate_typing,
 )
+from sdm.rewrite import enumerate_language
+from sdm.syntax import syntax_grammar
 
+from .builders import FIXTURES
 from .conftest import (
-    as_networkx,
     linked_list_tg,
     make_list,
     random_graph,
@@ -40,7 +46,7 @@ from .conftest import (
     with_twins,
     zoo_tg,
 )
-from .oracles import brute_force_isomorphic
+from .oracles import brute_force_isomorphic, networkx_isomorphic
 
 
 def test_type_graph_rejects_unknown_parent():
@@ -233,15 +239,6 @@ def _swapped(rng: random.Random, g: TypedGraph) -> TypedGraph:
     return TypedGraph(g.tg, g.nodes, edges)
 
 
-def _networkx_isomorphic(g: TypedGraph, h: TypedGraph) -> bool:
-    return nx.is_isomorphic(
-        as_networkx(g),
-        as_networkx(h),
-        node_match=nx.isomorphism.categorical_node_match("type", None),
-        edge_match=nx.isomorphism.categorical_multiedge_match("type", None),
-    )
-
-
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_isomorphism_agrees_with_brute_force_and_networkx(seed):
@@ -252,7 +249,7 @@ def test_isomorphism_agrees_with_brute_force_and_networkx(seed):
     for h in (shuffled_copy(rng, g), _swapped(rng, g)):
         iso = find_isomorphism(g, h)
         assert (iso is not None) == brute_force_isomorphic(g, h)
-        assert (iso is not None) == _networkx_isomorphic(g, h)
+        assert (iso is not None) == networkx_isomorphic(g, h)
         if iso is not None:
             assert iso.is_total() and iso.is_injective()
             assert all(g.nodes[a] == h.nodes[b] for a, b in iso.node_map.items())
@@ -294,10 +291,11 @@ def test_cycles_the_signature_cannot_separate(one, many):
 
 
 def test_isoset_matches_equal_values_without_a_search(monkeypatch):
-    def no_search(g, h):
+    def no_search(*args):
         raise AssertionError("an equal-valued member needs no search")
 
-    monkeypatch.setattr(sdm.graph, "find_isomorphism", no_search)
+    monkeypatch.setattr(sdm.graph, "canonical_form", no_search)
+    monkeypatch.setattr(sdm.graph, "_pairwise_isomorphism", no_search)
     tg = linked_list_tg()
     g, copy = make_list(tg, 3), make_list(tg, 3)
     assert copy is not g and copy == g
@@ -308,6 +306,180 @@ def test_isoset_matches_equal_values_without_a_search(monkeypatch):
     sem = SemSet()
     sem.add(g, g)
     assert sem.contains(copy, make_list(tg, 3))
+
+
+def _union(*parts: TypedGraph) -> TypedGraph:
+    """The disjoint union of graphs over one type graph, ids suffixed by part."""
+    nodes: dict[str, str] = {}
+    edges: dict[str, Edge] = {}
+    for k, part in enumerate(parts):
+        nodes.update((f"{n}p{k}", t) for n, t in part.nodes.items())
+        edges.update(
+            (f"{eid}p{k}", Edge(e.type, f"{e.src}p{k}", f"{e.trg}p{k}"))
+            for eid, e in part.edges.items()
+        )
+    return TypedGraph(parts[0].tg, nodes, edges)
+
+
+def _reordered(rng: random.Random, g: TypedGraph) -> TypedGraph:
+    """g with its nodes and edges inserted in a random order."""
+    nodes, edges = list(g.nodes.items()), list(g.edges.items())
+    rng.shuffle(nodes)
+    rng.shuffle(edges)
+    return TypedGraph(g.tg, dict(nodes), dict(edges))
+
+
+def _retyped(rng: random.Random, g: TypedGraph) -> TypedGraph:
+    """g with the types of a Cat and a Dog exchanged, if it has both."""
+    nodes = dict(g.nodes)
+    cats = sorted(n for n, t in nodes.items() if t == "Cat")
+    dogs = sorted(n for n, t in nodes.items() if t == "Dog")
+    if cats and dogs:
+        nodes[rng.choice(cats)], nodes[rng.choice(dogs)] = "Dog", "Cat"
+    return TypedGraph(g.tg, nodes, g.edges)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_canonical_keys_agree_with_brute_force_and_networkx(seed):
+    # zoo graphs carry inheritance, self-loops and parallel edges; twins and
+    # a repeated part make automorphisms and equal components common. At
+    # most eight nodes keep networkx's search short.
+    rng = random.Random(seed)
+    tg = zoo_tg()
+    parts = [random_graph(rng, tg, 3, 5) for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.5:
+        parts[0] = with_twins(rng, parts[0])
+    if rng.random() < 0.3:
+        parts.append(parts[-1])
+    while len(parts) > 1 and sum(len(part.nodes) for part in parts) > 8:
+        parts.pop(0)
+    g = _union(*parts)
+    assert canonical_key(_reordered(rng, g)) == canonical_key(g) is not None
+    copy = _reordered(rng, shuffled_copy(rng, g))
+    for h in (copy, _swapped(rng, g), _swapped(rng, copy), _retyped(rng, copy)):
+        iso = find_isomorphism(g, h)
+        same = canonical_key(g) == canonical_key(h)
+        assert same == (iso is not None) == networkx_isomorphic(g, h)
+        if len(g.nodes) <= 6:
+            assert same == brute_force_isomorphic(g, h)
+        if iso is not None:
+            assert iso.is_total() and iso.is_injective()
+            assert sorted(iso.node_map.values()) == h.node_ids()
+            assert sorted(iso.edge_map.values()) == h.edge_ids()
+            assert all(g.nodes[a] == h.nodes[b] for a, b in iso.node_map.items())
+
+
+def _regular(rng: random.Random, n: int) -> TypedGraph:
+    """Nodes with two next-edges in and two out, from two random
+    permutations: colour refinement alone cannot tell any two apart."""
+    b = GraphBuilder(linked_list_tg())
+    for i in range(n):
+        b.node(f"v{i}", "Object")
+    for d in range(2):
+        for i, j in enumerate(rng.sample(range(n), n)):
+            b.edge(f"e{d}.{i}", "next", f"v{i}", f"v{j}")
+    return b.build()
+
+
+def test_searched_keys_do_not_depend_on_ids():
+    # only individualization orders these nodes, in every branch
+    rng = random.Random(12)
+    for _ in range(20):
+        g, other = _regular(rng, 9), _regular(rng, 9)
+        copies = [_reordered(rng, shuffled_copy(rng, g)) for _ in range(3)]
+        assert all(canonical_key(copy) == canonical_key(g) for copy in copies)
+        same = canonical_key(other) == canonical_key(g)
+        assert same == networkx_isomorphic(g, other)
+        assert all(find_isomorphism(g, copy) is not None for copy in copies)
+
+
+@pytest.fixture
+def pairwise_searches(monkeypatch) -> list:
+    """The pairs handed to the pairwise search while the test runs."""
+    searches = []
+    pairwise = sdm.graph._pairwise_isomorphism
+
+    def counted(g, h):
+        searches.append((g, h))
+        return pairwise(g, h)
+
+    monkeypatch.setattr(sdm.graph, "_pairwise_isomorphism", counted)
+    return searches
+
+
+def test_keys_over_budget_fall_back_to_the_pairwise_search(
+    monkeypatch, pairwise_searches
+):
+    monkeypatch.setattr(sdm.canon, "_LEAF_BUDGET", 1)
+    # rings branch at every node, so one leaf is never enough for them
+    rng = random.Random(17)
+    tg = linked_list_tg()
+    shapes = [_cycles(tg, (6,)), _cycles(tg, (3, 3)), _cycles(tg, (2, 4))]
+    shapes.append(make_list(tg, 6))
+    graphs = [shuffled_copy(rng, rng.choice(shapes)) for _ in range(24)]
+    members = IsoSet()
+    for g in graphs:
+        members.add(g)
+    assert len(members) == len(shapes)
+    assert all(g in members for g in graphs)
+    for g, h in itertools.combinations(graphs[:10], 2):
+        assert (find_isomorphism(g, h) is not None) == networkx_isomorphic(g, h)
+    keys = [canonical_key(g) for g in graphs]
+    assert pairwise_searches and None in keys and any(k is not None for k in keys)
+
+
+def test_shuffled_rings_are_told_apart_quickly():
+    # a ring of 2k nodes and two rings of k share every signature; the
+    # pairwise search took 13-100 s at k = 10 with shuffled ids
+    tg = linked_list_tg()
+    start = time.perf_counter()
+    for k in range(3, 11):
+        rng = random.Random(k)
+        ring = shuffled_copy(rng, _cycles(tg, (2 * k,)))
+        rings = shuffled_copy(rng, _cycles(tg, (k, k)))
+        assert find_isomorphism(ring, rings) is None
+        assert find_isomorphism(ring, shuffled_copy(rng, ring)) is not None
+    rng = random.Random(30)
+    ring = shuffled_copy(rng, _cycles(tg, (30,)))
+    rings = shuffled_copy(rng, _cycles(tg, (10, 10, 10)))
+    members = IsoSet()
+    assert members.add(ring) and members.add(rings)
+    assert not members.add(shuffled_copy(rng, rings))
+    assert time.perf_counter() - start < 2.0
+
+
+def test_keys_decide_enumeration_and_the_fixture_oracles(pairwise_searches, capsys):
+    # no key on these inputs runs over budget, so the pairwise search,
+    # exponential at worst, stays out of both workloads
+    for bound, size in ((4, 6), (5, 34), (6, 188), (7, 1061)):
+        assert len(enumerate_language(syntax_grammar(), bound).graphs) == size
+    codes = []
+    for diagram in sorted(FIXTURES.glob("*.diagram.json")):
+        for model in sorted(FIXTURES.glob("*.model.json")):
+            nodes = json.loads(model.read_text(encoding="utf-8"))["nodes"]
+            for this in sorted(node["id"] for node in nodes):
+                for strategy in ("conservative", "optimistic"):
+                    argv = ["oracle", str(diagram), str(model), "--this", this]
+                    argv += ["--max-steps", "200", "--strategy", strategy]
+                    codes.append(main(argv))
+    capsys.readouterr()
+    assert pairwise_searches == [] and codes.count(0) > 100
+
+
+def test_a_graph_over_another_type_graph_is_no_member():
+    # iso_signature ignores the type graph, so both graphs share a bucket
+    other = TypeGraph("other", {"Object": None}, {})
+    g = GraphBuilder(linked_list_tg()).node("a", "Object").build()
+    foreign = GraphBuilder(other).node("a", "Object").build()
+    members = IsoSet()
+    members.add(g)
+    assert foreign not in members
+    assert not members.add(GraphBuilder(linked_list_tg()).node("b", "Object").build())
+    assert foreign not in members
+    with pytest.raises(GraphError):
+        find_isomorphism(g, foreign)
+    assert members.add(foreign) and foreign in members and len(members) == 2
 
 
 def _transposition(g: TypedGraph, a: str, b: str) -> PartialMorphism:

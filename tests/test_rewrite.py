@@ -638,12 +638,22 @@ def _split_rule(tg) -> Rule:
     return Rule("split", lhs, rhs, PartialMorphism(lhs, rhs, {}, {}))
 
 
+def _insert_rule(tg) -> Rule:
+    # replaces x -next-> y by x -next-> z -next-> y
+    lhs = GraphBuilder(tg).node("x", "Object").node("y", "Object")
+    lhs = lhs.edge("xy", "next", "x", "y").build()
+    rhs = GraphBuilder(tg).node("x", "Object").node("y", "Object").node("z", "Object")
+    rhs = rhs.edge("xz", "next", "x", "z").edge("zy", "next", "z", "y").build()
+    return Rule("insert", lhs, rhs, PartialMorphism(lhs, rhs, {"x": "x", "y": "y"}, {}))
+
+
 @pytest.mark.parametrize("bound", [2, 3, 4, 5])
 def test_enumeration_skips_only_rules_past_the_bound(bound):
-    # node growth is created minus deleted: -1 for delete, +1 for append
-    # and for split, which deletes a node too
+    # node growth is created minus deleted: -1 for delete, +1 for append,
+    # for insert and for split, which deletes a node too; append, delete
+    # and split share their left side, and so one search per graph
     tg = linked_list_tg()
-    rules = (_append_rule(tg), _delete_rule(tg), _split_rule(tg))
+    rules = (_append_rule(tg), _delete_rule(tg), _split_rule(tg), _insert_rule(tg))
     grammar = GraphGrammar(make_list(tg, 2), rules)
     got = enumerate_language(grammar, bound)
     want = reference_enumerate_language(grammar, bound)
