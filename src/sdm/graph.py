@@ -185,6 +185,7 @@ class TypedGraph:
         self._marks: Optional[tuple[int, int]] = None
         self._signature: Optional[tuple] = None
         self._canon: Optional[tuple] = None
+        self._plans: Optional[dict] = None  # see `_enumerate_monos`
         overlap = self.nodes.keys() & self.edges.keys()
         if overlap:
             raise GraphError(f"ids used for both nodes and edges: {sorted(overlap)}")
@@ -208,7 +209,7 @@ class TypedGraph:
         `__init__` checks."""
         g = cls.__new__(cls)
         g.tg, g.nodes, g.edges = host.tg, dict(host.nodes), dict(host.edges)
-        g._marks, g._signature, g._canon = marks, None, None
+        g._marks, g._signature, g._canon, g._plans = marks, None, None, None
         outs, ins = g._adjacency = tuple(dict(side) for side in host._index())
         for x in gone:
             if x in g.nodes:
@@ -425,6 +426,38 @@ def _parallel_edges(g: TypedGraph, src: str, trg: str, etype: str) -> list[str]:
     ]
 
 
+def _build_plan(pattern: TypedGraph, pinned) -> tuple:
+    """The matcher's search plan for pattern with the nodes in pinned bound
+    first: its sorted node and edge ids, the pinned and the free nodes in
+    id order, each node's needs, and each free node's walks.
+
+    A node's needs are the (src, trg, type, count) of the pattern edges
+    joining it to itself and to the nodes bound before it. A free node's
+    walks are the (outgoing, bound neighbour, edge type) of those needs
+    that join it to another node: its candidates are the ends of the
+    neighbour's typed out-edges, or in-edges, that every walk reaches.
+    """
+    for pn in pinned:
+        if pn not in pattern.nodes:
+            raise GraphError(f"forced assignment names unknown pattern node {pn!r}")
+    pnodes = pattern.node_ids()
+    order = [n for n in pnodes if n in pinned]
+    order += [n for n in pnodes if n not in pinned]
+    rank = {n: i for i, n in enumerate(order)}
+    counts: dict[str, dict[tuple[str, str, str], int]] = {n: {} for n in pnodes}
+    for e in pattern.edges.values():
+        later = e.src if rank[e.src] >= rank[e.trg] else e.trg
+        key = (e.src, e.trg, e.type)
+        counts[later][key] = counts[later].get(key, 0) + 1
+    needs = {n: tuple((*key, c) for key, c in counts[n].items()) for n in pnodes}
+    free = order[len(pinned) :]
+    walks = {
+        n: tuple((b == n, a if b == n else b, t) for a, b, t, _ in needs[n] if a != b)
+        for n in free
+    }
+    return pnodes, pattern.edge_ids(), order[: len(pinned)], free, needs, walks
+
+
 def _enumerate_monos(
     pattern: TypedGraph,
     host: TypedGraph,
@@ -441,35 +474,30 @@ def _enumerate_monos(
     candidates from the host neighbours of its bound pattern neighbours,
     and a new binding is checked only against the pattern edges that
     join it to nodes bound before it.
+
+    That order and those checks are the pattern's plan (`_build_plan`).
+    It depends only on the pattern and on which of its nodes are forced,
+    so it is built once per pattern and set of forced nodes and kept on
+    the pattern, which never changes after construction.
     """
-    for pn in forced_nodes:
-        if pn not in pattern.nodes:
-            raise GraphError(f"forced assignment names unknown pattern node {pn!r}")
-    pnodes = pattern.node_ids()
-    pedges = pattern.edge_ids()
+    pins = frozenset(forced_nodes)
+    if pattern._plans is None:
+        pattern._plans = {}
+    plan = pattern._plans.get(pins)
+    if plan is None:
+        plan = pattern._plans[pins] = _build_plan(pattern, forced_nodes)
+    pnodes, pedges, pinned, free, needs, walks = plan
     forced_edges = forced_edges or {}
-    pinned = [n for n in pnodes if n in forced_nodes]
-    free = [n for n in pnodes if n not in forced_nodes]
-    rank = {n: i for i, n in enumerate(pinned + free)}
-
-    # per node: how many edges of each (src, trg, type) it needs towards
-    # itself and the nodes bound before it
-    needs: dict[str, dict[tuple[str, str, str], int]] = {n: {} for n in pnodes}
-    for e in pattern.edges.values():
-        later = e.src if rank[e.src] >= rank[e.trg] else e.trg
-        key = (e.src, e.trg, e.type)
-        needs[later][key] = needs[later].get(key, 0) + 1
-
+    ptypes, host_nodes, conforms = pattern.nodes, host.nodes, host.tg.conforms
+    outs, ins = host._index()
     assigned: dict[str, str] = {}
 
     def node_ok(pn: str, hn: str) -> bool:
-        if hn not in host.nodes:
-            return False
-        if not host.tg.conforms(host.nodes[hn], pattern.nodes[pn]):
+        if hn not in host_nodes or not conforms(host_nodes[hn], ptypes[pn]):
             return False
         if injective and hn in assigned.values():
             return False
-        for (a, b, etype), need in needs[pn].items():
+        for a, b, etype, need in needs[pn]:
             src = hn if a == pn else assigned[a]
             trg = hn if b == pn else assigned[b]
             if len(_parallel_edges(host, src, trg, etype)) < (need if injective else 1):
@@ -478,14 +506,12 @@ def _enumerate_monos(
 
     def node_candidates(pn: str) -> list[str]:
         found: Optional[set[str]] = None
-        for a, b, etype in needs[pn]:
-            if a == b:
-                continue
-            if b == pn:
-                adjacent = host.out_edges(assigned[a])
+        for outgoing, neighbour, etype in walks[pn]:
+            if outgoing:
+                adjacent = outs.get(assigned[neighbour], ())
                 ends = {e.trg for _, e in adjacent if e.type == etype}
             else:
-                adjacent = host.in_edges(assigned[b])
+                adjacent = ins.get(assigned[neighbour], ())
                 ends = {e.src for _, e in adjacent if e.type == etype}
             found = ends if found is None else found & ends
             if not found:

@@ -311,9 +311,32 @@ class CfgValidation:
     base: Optional[TypedGraph] = None  # the embedded copy of the start graph
 
 
-def _degree(g: TypedGraph, n: str) -> int:
-    # a self-loop counts twice, once on each side
-    return len(g.out_edges(n)) + len(g.in_edges(n))
+def _degree_index(g: TypedGraph) -> tuple[dict[str, int], dict[int, list[str]]]:
+    """Each node's degree, a self-loop counted on both sides, and the nodes
+    of each degree in g's node order."""
+    outs, ins = g._index()
+    degree: dict[str, int] = {}
+    by_degree: dict[int, list[str]] = {}
+    for n in g.nodes:
+        d = degree[n] = len(outs.get(n, ())) + len(ins.get(n, ()))
+        by_degree.setdefault(d, []).append(n)
+    return degree, by_degree
+
+
+@lru_cache(maxsize=1)
+def _inverse_rules() -> tuple[tuple, ...]:
+    """The reduction's table, largest right-hand side first: each rule with
+    its created nodes, its right-hand side's node degrees, and its sorted
+    node and edge ids."""
+    rules = sorted(
+        syntax_rules(), key=lambda r: (-len(r.rhs.nodes), -len(r.rhs.edges), r.name)
+    )
+    table = []
+    for rule in rules:
+        rhs = rule.rhs
+        created, degree = rule.created_rhs_nodes(), _degree_index(rhs)[0]
+        table.append((rule, created, degree, rhs.node_ids(), rhs.edge_ids()))
+    return tuple(table)
 
 
 def validate_control_flow(g: TypedGraph) -> CfgValidation:
@@ -322,16 +345,17 @@ def validate_control_flow(g: TypedGraph) -> CfgValidation:
     Each reduction inverts one rule: it needs an injective image of the
     rule's right-hand side whose created nodes carry exactly their
     in-rule edges, removes that material, and restores the matched next
-    edge. Every inverse strictly shrinks the graph, so the search is
-    bounded; it backtracks over all rules and matches with an
-    isomorphism-keyed memo of dead ends.
+    edge under a fresh `r#k` id. Every inverse strictly shrinks the
+    graph, so the search is bounded; it backtracks over all rules and
+    matches with an isomorphism-keyed memo of dead ends.
 
     A match is exact when each created node's image has the node's
     degree in the right-hand side, since the matched edges are an
-    injective subset of the image's incident edges. So the search for a
-    rule pins its first created node, which every rule links to `a`
-    through `e1`, to each host node of that exact degree, and tries the
-    exact matches in the matcher's lexicographic order.
+    injective subset of the image's incident edges. So each state's
+    nodes are indexed by degree once, and the search for a rule pins its
+    first created node, which every rule links to `a` through `e1`, to
+    each host node of that exact degree, and tries the exact matches in
+    the matcher's lexicographic order.
     """
     report = validate_typing(g, SYNTAX_TYPE_GRAPH)
     if not report.ok:
@@ -340,28 +364,19 @@ def validate_control_flow(g: TypedGraph) -> CfgValidation:
         return CfgValidation(False, "abstract node type instantiated")
 
     target = start_graph()
-    rules = sorted(
-        syntax_rules(), key=lambda r: (-len(r.rhs.nodes), -len(r.rhs.edges), r.name)
-    )
-    inverses = []
-    for rule in rules:
-        rhs = rule.rhs
-        created = [n for n in rhs.node_ids() if n not in ("a", "b")]
-        degree = {n: _degree(rhs, n) for n in created}
-        inverses.append((rule, created, degree, rhs.node_ids(), rhs.edge_ids()))
     failed = IsoSet()
     restore_counter = [0]
 
-    def exact_matches(cur: TypedGraph, rule, created, degree, node_ids, edge_ids):
+    def exact_matches(cur, index, rule, created, wanted, node_ids, edge_ids):
+        degree, by_degree = index
         anchor = created[0]  # n or c, linked to a through e1
+        anchor_type = rule.rhs.nodes[anchor]
         found = []
-        for cand, ntype in cur.nodes.items():
-            if _degree(cur, cand) != degree[anchor]:
-                continue
-            if not cur.tg.conforms(ntype, rule.rhs.nodes[anchor]):
+        for cand in by_degree.get(wanted[anchor], ()):
+            if not cur.tg.conforms(cur.nodes[cand], anchor_type):
                 continue
             for node_map, edge_map in _enumerate_monos(rule.rhs, cur, {anchor: cand}):
-                if all(_degree(cur, node_map[n]) == degree[n] for n in created):
+                if all(degree[node_map[n]] == wanted[n] for n in created):
                     key = (
                         tuple(node_map[n] for n in node_ids),
                         tuple(edge_map[e] for e in edge_ids),
@@ -370,6 +385,14 @@ def validate_control_flow(g: TypedGraph) -> CfgValidation:
         found.sort(key=lambda m: m[0])
         return [(node_map, edge_map) for _, node_map, edge_map in found]
 
+    def restore_id(cur: TypedGraph, drop: set[str]) -> str:
+        # the next r#k that no element kept from cur already uses
+        while True:
+            restore_counter[0] += 1
+            rid = f"r#{restore_counter[0]}"
+            if rid in drop or (rid not in cur.nodes and rid not in cur.edges):
+                return rid
+
     def search(cur: TypedGraph) -> Optional[tuple[TypedGraph, list[DerivationStep]]]:
         if len(cur.nodes) == len(target.nodes):
             if find_isomorphism(cur, target):
@@ -377,15 +400,15 @@ def validate_control_flow(g: TypedGraph) -> CfgValidation:
             return None
         if len(cur.nodes) < len(target.nodes) or cur in failed:
             return None
-        for inverse in inverses:
+        index = _degree_index(cur)
+        for inverse in _inverse_rules():
             rule, created = inverse[:2]
-            for node_map, edge_map in exact_matches(cur, *inverse):
+            for node_map, edge_map in exact_matches(cur, index, *inverse):
                 # undo: drop created nodes and matched edges, restore a -> b
-                restore_counter[0] += 1
                 drop = {node_map[n] for n in created} | set(edge_map.values())
                 restore = Edge(NEXT, node_map["a"], node_map["b"])
                 reduced = TypedGraph._derive(
-                    cur, drop, {}, {f"r#{restore_counter[0]}": restore}
+                    cur, drop, {}, {restore_id(cur, drop): restore}
                 )
                 found = search(reduced)
                 if found is not None:

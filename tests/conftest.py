@@ -7,12 +7,27 @@ import random
 import networkx as nx
 import pytest
 
+import sdm.graph
 from sdm.graph import Edge, EdgeType, GraphBuilder, TypedGraph, TypeGraph
 
 
 @pytest.fixture
 def list_tg() -> TypeGraph:
     return linked_list_tg()
+
+
+@pytest.fixture
+def plan_builds(monkeypatch) -> list:
+    """The patterns the matcher builds a search plan for while the test runs."""
+    built = []
+    build_plan = sdm.graph._build_plan
+
+    def counted(pattern, pinned):
+        built.append(pattern)
+        return build_plan(pattern, pinned)
+
+    monkeypatch.setattr(sdm.graph, "_build_plan", counted)
+    return built
 
 
 def linked_list_tg() -> TypeGraph:
@@ -92,15 +107,23 @@ def with_twins(rng: random.Random, g: TypedGraph) -> TypedGraph:
     return TypedGraph(g.tg, nodes, edges)
 
 
+def reordered(rng: random.Random, g: TypedGraph) -> TypedGraph:
+    """g with its nodes and edges inserted in a random order."""
+    nodes, edges = list(g.nodes.items()), list(g.edges.items())
+    rng.shuffle(nodes)
+    rng.shuffle(edges)
+    return TypedGraph(g.tg, dict(nodes), dict(edges))
+
+
 def shuffled_copy(rng: random.Random, g: TypedGraph) -> TypedGraph:
-    """Isomorphic copy with renamed ids."""
+    """Isomorphic copy with renamed ids, inserted in a random order."""
     node_names = {n: f"m{i}" for i, n in enumerate(rng.sample(g.node_ids(), len(g.nodes)))}
     edges = {
         f"f{i}": Edge(e.type, node_names[e.src], node_names[e.trg])
         for i, (eid, e) in enumerate(sorted(g.edges.items()))
     }
     nodes = {node_names[n]: t for n, t in g.nodes.items()}
-    return TypedGraph(g.tg, nodes, edges)
+    return reordered(rng, TypedGraph(g.tg, nodes, edges))
 
 
 def as_networkx(g: TypedGraph) -> nx.MultiDiGraph:

@@ -404,8 +404,11 @@ def reference_validate_control_flow(g: TypedGraph) -> CfgValidation:
                         break
                 if not exact:
                     continue
-                restore_counter[0] += 1
                 drop = {node_map[n] for n in created} | set(edge_map.values())
+                kept = (set(cur.nodes) | set(cur.edges)) - drop
+                restore_counter[0] += 1
+                while f"r#{restore_counter[0]}" in kept:
+                    restore_counter[0] += 1
                 restore = Edge(NEXT, node_map["a"], node_map["b"])
                 reduced = TypedGraph._derive(
                     cur, drop, {}, {f"r#{restore_counter[0]}": restore}

@@ -60,6 +60,25 @@ def test_validate_reports_a_missing_file(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("renamed", ["e1", "first"])
+def test_validate_accepts_cfg_ids_shaped_like_restore_ids(capsys, tmp_path, renamed):
+    # the validator names each restored next edge r#k; a CFG edge or node
+    # already called r#1 that survives the reduction must not collide
+    data = json.loads((FIXTURES / "two_node_seq.diagram.json").read_text())
+    if renamed == "e1":
+        (edge,) = [e for e in data["cfg"]["edges"] if e["id"] == "e1"]
+        edge["id"] = "r#1"
+    else:
+        data = json.loads(json.dumps(data).replace('"first"', '"r#1"'))
+    path = tmp_path / "renamed.diagram.json"
+    path.write_text(json.dumps(data))
+    _, want, _ = run_cli(capsys, "validate", SEQ2)
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, err) == (0, "")
+    assert "insert-node at (first, stop)" in want
+    assert out == (want if renamed == "e1" else want.replace("first", "r#1"))
+
+
 # each shape damages one field of the minimal diagram
 MALFORMED = {
     "param-without-name": lambda d: d["params"][0].pop("name"),

@@ -42,6 +42,7 @@ from .conftest import (
     linked_list_tg,
     make_list,
     random_graph,
+    reordered,
     shuffled_copy,
     with_twins,
     zoo_tg,
@@ -321,14 +322,6 @@ def _union(*parts: TypedGraph) -> TypedGraph:
     return TypedGraph(parts[0].tg, nodes, edges)
 
 
-def _reordered(rng: random.Random, g: TypedGraph) -> TypedGraph:
-    """g with its nodes and edges inserted in a random order."""
-    nodes, edges = list(g.nodes.items()), list(g.edges.items())
-    rng.shuffle(nodes)
-    rng.shuffle(edges)
-    return TypedGraph(g.tg, dict(nodes), dict(edges))
-
-
 def _retyped(rng: random.Random, g: TypedGraph) -> TypedGraph:
     """g with the types of a Cat and a Dog exchanged, if it has both."""
     nodes = dict(g.nodes)
@@ -355,8 +348,8 @@ def test_canonical_keys_agree_with_brute_force_and_networkx(seed):
     while len(parts) > 1 and sum(len(part.nodes) for part in parts) > 8:
         parts.pop(0)
     g = _union(*parts)
-    assert canonical_key(_reordered(rng, g)) == canonical_key(g) is not None
-    copy = _reordered(rng, shuffled_copy(rng, g))
+    assert canonical_key(reordered(rng, g)) == canonical_key(g) is not None
+    copy = shuffled_copy(rng, g)
     for h in (copy, _swapped(rng, g), _swapped(rng, copy), _retyped(rng, copy)):
         iso = find_isomorphism(g, h)
         same = canonical_key(g) == canonical_key(h)
@@ -387,7 +380,7 @@ def test_searched_keys_do_not_depend_on_ids():
     rng = random.Random(12)
     for _ in range(20):
         g, other = _regular(rng, 9), _regular(rng, 9)
-        copies = [_reordered(rng, shuffled_copy(rng, g)) for _ in range(3)]
+        copies = [shuffled_copy(rng, g) for _ in range(3)]
         assert all(canonical_key(copy) == canonical_key(g) for copy in copies)
         same = canonical_key(other) == canonical_key(g)
         assert same == networkx_isomorphic(g, other)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sdm.graph
 from sdm.graph import (
     Edge,
     GraphBuilder,
@@ -36,7 +37,14 @@ from sdm.rewrite import (
     rule_to_dict,
 )
 
-from .conftest import as_networkx, linked_list_tg, make_list, random_graph, zoo_tg
+from .conftest import (
+    as_networkx,
+    linked_list_tg,
+    make_list,
+    random_graph,
+    shuffled_copy,
+    zoo_tg,
+)
 from .oracles import (
     brute_force_matches,
     naive_pushout,
@@ -293,6 +301,76 @@ def test_match_list_equals_the_reference_matcher_in_order(seed):
             rule, host, partial, nac_injective=nac_injective, first=True
         )
         assert _maps(head) == want[:1]
+
+
+def _chase_rule(tg) -> Rule:
+    """Identity rule on a -chases-> b -owns-> t, forbidden where b chases a
+    back or where a owns a toy, which may be t unless NACs are injective."""
+    lhs = (
+        GraphBuilder(tg)
+        .node("a", "Animal")
+        .node("b", "Animal")
+        .node("t", "Toy")
+        .edge("ab", "chases", "a", "b")
+        .edge("bt", "owns", "b", "t")
+        .build()
+    )
+    back = TypedGraph(tg, lhs.nodes, {**lhs.edges, "ba": Edge("chases", "b", "a")})
+    toy = TypedGraph(
+        tg, {**lhs.nodes, "w": "Toy"}, {**lhs.edges, "aw": Edge("owns", "a", "w")}
+    )
+
+    def identity(g: TypedGraph) -> PartialMorphism:
+        return PartialMorphism(
+            lhs, g, {n: n for n in lhs.nodes}, {e: e for e in lhs.edges}
+        )
+
+    nacs = (NAC(back, identity(back)), NAC(toy, identity(toy)))
+    return Rule("chase", lhs, lhs, identity(lhs), nacs)
+
+
+def test_plans_reused_across_hosts_and_pin_sets_keep_every_match(plan_builds):
+    # one rule serves many hosts under changing pin sets, so each pattern's
+    # plan for a set of pinned nodes is built once and reused; the match
+    # lists must still be the reference's, and pin sets that share their
+    # images but pin different nodes must not share a plan
+    rng = random.Random(14)
+    tg = zoo_tg()
+    rule = _chase_rule(tg)
+    bare = Rule("bare", rule.lhs, rule.rhs, rule.mapping)
+    pin_keys = set()
+    listed = forbidden = 0
+    for i in range(60):
+        host = random_graph(rng, tg, 6, 12)
+        animals = [n for n in host.node_ids() if host.nodes[n] != "Toy"]
+        toys = [n for n in host.node_ids() if host.nodes[n] == "Toy"]
+        pin_sets = [{}]
+        if animals:
+            x = rng.choice(animals)
+            pin_sets += [{"a": x}, {"b": x}]
+        unguarded = reference_matches(bare, host)
+        if unguarded:
+            pin_sets.append(dict(rng.choice(unguarded).node_map))
+        elif len(animals) > 1 and toys:
+            pin_sets.append({"a": animals[0], "b": animals[1], "t": toys[0]})
+        for pins in pin_sets:
+            pin_keys.add(frozenset(pins))
+            for nac_injective in (True, False) if i % 2 else (False, True):
+                want = _maps(reference_matches(rule, host, pins, nac_injective))
+                got = find_matches(rule, host, pins, nac_injective=nac_injective)
+                assert _maps(got) == want, (i, pins, nac_injective)
+                listed += len(want)
+        forbidden += len(unguarded) - len(reference_matches(rule, host))
+    assert listed and forbidden
+    assert len(pin_keys) == 4
+    assert sum(p is rule.lhs for p in plan_builds) == len(pin_keys)
+    assert all(sum(p is nac.graph for p in plan_builds) == 1 for nac in rule.nacs)
+    # the same graphs as patterns of an isomorphism, pinned wholly or not at all
+    for g in (rule.lhs, *(nac.graph for nac in rule.nacs)):
+        copy = shuffled_copy(rng, g)
+        pairwise = sdm.graph._pairwise_isomorphism(g, copy)
+        for iso in (find_isomorphism(g, copy), pairwise):
+            assert iso is not None and iso.is_total() and iso.is_injective()
 
 
 def _networkx_node_maps(pattern: TypedGraph, host: TypedGraph) -> set:

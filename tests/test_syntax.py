@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import sdm.syntax
 from sdm.cli import main
 from sdm.diagram import load_story_diagram
 from sdm.graph import (
@@ -48,7 +49,7 @@ from sdm.syntax import (
 )
 
 from .builders import CFG_SHAPES, FIXTURES, cfg_of_shape, redirect_next_edge
-from .conftest import linked_list_tg, make_list
+from .conftest import linked_list_tg, make_list, reordered
 from .oracles import (
     reference_classify_nodes,
     reference_enumerate_language,
@@ -178,6 +179,60 @@ def test_validator_equals_the_unpinned_reference():
         assert got.base == want.base
         verdicts.add(got.ok)
     assert verdicts == {True, False}
+
+
+def _shapes_and_mutants(sizes) -> list:
+    return [
+        grown.build()
+        for shape in CFG_SHAPES
+        for size in sizes
+        for grown in (cfg_of_shape(shape, size), cfg_of_shape(shape, size).mutate())
+    ]
+
+
+def test_validation_ignores_insertion_order():
+    # degree buckets list a state's nodes in dict order; only the sort of
+    # each rule's exact matches keeps the witness independent of it
+    rng = random.Random(13)
+    verdicts = set()
+    for g in _shapes_and_mutants(range(7, 14)):
+        got, want = validate_control_flow(reordered(rng, g)), validate_control_flow(g)
+        assert (got.ok, got.reason, got.base) == (want.ok, want.reason, want.base)
+        assert got.derivation == want.derivation
+        verdicts.add(got.ok)
+    assert verdicts == {True, False}
+
+
+def test_validation_builds_each_plan_once_and_indexes_each_state_once(
+    monkeypatch, plan_builds
+):
+    # counts, not timings, guard the reduction's hot path against per-call
+    # set-up: one plan per inverse rule for the whole process, and one
+    # degree index per search state
+    rhs_ids = {id(inverse[0].rhs) for inverse in sdm.syntax._inverse_rules()}
+    indexed, hosts = [], []
+    degree_index = sdm.syntax._degree_index
+    enumerate_monos = sdm.syntax._enumerate_monos
+
+    def counted_index(g):
+        indexed.append(g)
+        return degree_index(g)
+
+    def counted_monos(pattern, host, forced_nodes):
+        hosts.append(host)
+        return enumerate_monos(pattern, host, forced_nodes)
+
+    monkeypatch.setattr(sdm.syntax, "_degree_index", counted_index)
+    monkeypatch.setattr(sdm.syntax, "_enumerate_monos", counted_monos)
+    graphs = _shapes_and_mutants(range(7, 22))
+    for rhs_plans in (range(17), range(1)):
+        for counts in (plan_builds, indexed, hosts):
+            counts.clear()
+        verdicts = {validate_control_flow(g).ok for g in graphs}
+        assert verdicts == {True, False}
+        assert sum(id(pattern) in rhs_ids for pattern in plan_builds) in rhs_plans
+        assert len({id(g) for g in indexed}) == len(indexed)
+        assert {id(host) for host in hosts} <= {id(g) for g in indexed}
 
 
 def test_validate_start_graph():
