@@ -90,8 +90,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     with open(args.trace, "w", encoding="utf-8") as fh:
         fh.write(trace.to_jsonl())
     if args.state:
+        try:
+            state = c.state_graph()
+        except GraphError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
         with open(args.state, "w", encoding="utf-8") as fh:
-            fh.write(serialize_graph(c.state_graph()) + "\n")
+            fh.write(serialize_graph(state) + "\n")
 
     if c.status == TERMINATED:
         print(f"terminated after {c.steps_taken} steps")

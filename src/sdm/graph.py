@@ -16,6 +16,7 @@ import json
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Iterator, Optional
 
 from .canon import canonical_form
@@ -119,6 +120,7 @@ class TypeGraph:
             raw_edges = data["edge_types"]
         except (KeyError, TypeError) as exc:
             raise FormatError(f"type graph missing field: {exc}") from exc
+        _check_names("type graph name", name)
         node_types: dict[str, Optional[str]] = {}
         edge_types: dict[str, EdgeType] = {}
         try:
@@ -743,8 +745,32 @@ def _keys(parts: tuple) -> tuple:
 
 
 def serialize_graph(g: TypedGraph) -> str:
-    """Canonical UTF-8 JSON text for a graph (sorted, round-trips by id)."""
-    return json.dumps(g.to_dict(), indent=2, sort_keys=True)
+    """Canonical JSON text for a graph: sorted, ASCII, round-trips by id.
+
+    The text is exactly `json.dumps(g.to_dict(), indent=2, sort_keys=True)`.
+    With `indent` set, `json.dumps` runs its pure-Python encoder, so the
+    fixed layout is formatted here instead, and every string goes through
+    the C escaper that `json.dumps` uses.
+    """
+    q = encode_basestring_ascii
+    edges = ",".join(
+        f'\n    {{\n      "id": {q(eid)},\n      "src": {q(e.src)},'
+        f'\n      "trg": {q(e.trg)},\n      "type": {q(e.type)}\n    }}'
+        for eid, e in sorted(g.edges.items())
+    )
+    nodes = ",".join(
+        f'\n    {{\n      "id": {q(nid)},\n      "type": {q(t)}\n    }}'
+        for nid, t in sorted(g.nodes.items())
+    )
+    return (
+        f'{{\n  "edges": {_json_list(edges)},\n  "nodes": {_json_list(nodes)},'
+        f'\n  "typegraph": {q(g.tg.name)}\n}}'
+    )
+
+
+def _json_list(items: str) -> str:
+    """A list of level-2 items, joined by `serialize_graph`, in its layout."""
+    return f"[{items}\n  ]" if items else "[]"
 
 
 def parse_graph(text: str, tg: TypeGraph) -> TypedGraph:

@@ -294,12 +294,13 @@ class Configuration:
         The static scope templates appear alongside the runtime scope
         instances; instances point at their template and parent
         instance, bindings at scope, control flow variable, and model
-        proxy. Discarded instances and their bindings are absent.
+        proxy. Discarded instances and their bindings are absent. Raises
+        GraphError when a runtime id is also an id of the control flow
+        graph, since the two share the state graph's one namespace.
         """
         cfg = self.diagram.cfg
-        nodes: dict[str, str] = dict(cfg.nodes)
-        edges: dict[str, Edge] = dict(cfg.edges)
-        nodes["token"] = TOKEN_TYPE
+        nodes: dict[str, str] = {"token": TOKEN_TYPE}
+        edges: dict[str, Edge] = {}
         if self.token_attached:
             edges["at"] = Edge("at", "token", self.token_at)
         for template in self.scopes.templates.values():
@@ -340,7 +341,15 @@ class Configuration:
                 edges[f"d:{inv.id}:{cfvar.id}"] = Edge(
                     "destructedVariables", inv.id, cfvar.id
                 )
-        return TypedGraph(SEMANTIC_TYPE_GRAPH, nodes, edges)
+        clash = (nodes.keys() | edges.keys()) & (cfg.nodes.keys() | cfg.edges.keys())
+        if clash:
+            raise GraphError(
+                f"control flow graph id {min(clash)!r} is also a runtime id "
+                "of the execution state graph"
+            )
+        return TypedGraph(
+            SEMANTIC_TYPE_GRAPH, cfg.nodes | nodes, cfg.edges | edges
+        )
 
 
 def initialize(

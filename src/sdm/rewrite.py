@@ -73,13 +73,25 @@ class Rule:
         self.rhs = rhs
         self.mapping = mapping
         self.nacs = tuple(nacs)
+        # what every application needs, in id order; the sides never change
+        self._deleted_nodes = tuple(
+            n for n in lhs.node_ids() if n not in mapping.node_map
+        )
+        self._deleted_edges = tuple(
+            e for e in lhs.edge_ids() if e not in mapping.edge_map
+        )
+        node_image = set(mapping.node_map.values())
+        self._created_nodes = tuple(n for n in rhs.node_ids() if n not in node_image)
+        edge_image = set(mapping.edge_map.values())
+        self._created_edges = tuple(
+            (e, rhs.edges[e]) for e in rhs.edge_ids() if e not in edge_image
+        )
 
     def deleted_lhs_nodes(self) -> list[str]:
-        return [n for n in self.lhs.node_ids() if n not in self.mapping.node_map]
+        return list(self._deleted_nodes)
 
     def created_rhs_nodes(self) -> list[str]:
-        image = set(self.mapping.node_map.values())
-        return [n for n in self.rhs.node_ids() if n not in image]
+        return list(self._created_nodes)
 
     def __repr__(self) -> str:
         return f"Rule({self.name!r})"
@@ -232,12 +244,8 @@ def apply_rule(rule: Rule, match: Match, host: TypedGraph) -> ApplyResult:
     if match.morphism.dst is not host:
         raise StaleMatchError("host changed since the match was found")
 
-    deleted_nodes = {match.node_map[n] for n in rule.deleted_lhs_nodes()}
-    deleted = deleted_nodes | {
-        match.edge_map[e]
-        for e in rule.lhs.edge_ids()
-        if e not in rule.mapping.edge_map
-    }
+    deleted_nodes = {match.node_map[n] for n in rule._deleted_nodes}
+    deleted = deleted_nodes | {match.edge_map[e] for e in rule._deleted_edges}
     for n in deleted_nodes:
         deleted.update(eid for eid, _ in host.out_edges(n) + host.in_edges(n))
 
@@ -245,16 +253,13 @@ def apply_rule(rule: Rule, match: Match, host: TypedGraph) -> ApplyResult:
     n_mark, e_mark = host_marks
     rhs_node_map = {r: match.node_map[l] for l, r in rule.mapping.node_map.items()}
     new_nodes: dict[str, str] = {}
-    for rn in rule.created_rhs_nodes():
+    for rn in rule._created_nodes:
         n_mark += 1
         rhs_node_map[rn] = f"n#{n_mark}"
         new_nodes[rhs_node_map[rn]] = rule.rhs.nodes[rn]
     rhs_edge_map = {r: match.edge_map[l] for l, r in rule.mapping.edge_map.items()}
     new_edges: dict[str, Edge] = {}
-    for reid in rule.rhs.edge_ids():
-        if reid in rhs_edge_map:  # preserved
-            continue
-        redge = rule.rhs.edges[reid]
+    for reid, redge in rule._created_edges:
         e_mark += 1
         rhs_edge_map[reid] = f"e#{e_mark}"
         new_edges[rhs_edge_map[reid]] = Edge(

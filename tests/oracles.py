@@ -4,8 +4,9 @@ These deliberately share no code with the package: isomorphism by
 exhaustive bijection search, matching by exhaustive injective map
 enumeration, rewriting by a naive delete-then-glue construction, and the
 package's earlier backtracking matcher, which scans the sorted edge set
-for every adjacency query and sorts its full match list, and the
-earlier fresh-id scan over every id of a graph.
+for every adjacency query and sorts its full match list, the earlier
+fresh-id scan over every id of a graph, and the graph writer that runs
+`json.dumps` with `indent`.
 
 Four more are the package's earlier versions of a fast path, kept to
 check that the fast path changes no result. They share the package's
@@ -23,6 +24,7 @@ of applying one match per twin orbit.
 from __future__ import annotations
 
 import itertools
+import json
 import re
 from typing import Iterator, Optional
 
@@ -357,6 +359,12 @@ def reference_next_fresh(g: TypedGraph) -> tuple[int, int]:
         default=0,
     )
     return n + 1, e + 1
+
+
+def reference_serialize_graph(g: TypedGraph) -> str:
+    """The graph file text as `json.dumps` formats it, whose `indent` runs
+    the pure-Python encoder."""
+    return json.dumps(g.to_dict(), indent=2, sort_keys=True)
 
 
 def reference_validate_control_flow(g: TypedGraph) -> CfgValidation:

@@ -79,6 +79,13 @@ def test_validate_accepts_cfg_ids_shaped_like_restore_ids(capsys, tmp_path, rena
     assert out == (want if renamed == "e1" else want.replace("first", "r#1"))
 
 
+def _name_type_graph_with_a_list(d):
+    # the pattern sides declare no type graph, so only the name is wrong
+    d["typegraph"]["name"] = ["linked-list"]
+    for side in ("lhs", "rhs"):
+        del d["patterns"][0]["rule"][side]["typegraph"]
+
+
 # each shape damages one field of the minimal diagram
 MALFORMED = {
     "param-without-name": lambda d: d["params"][0].pop("name"),
@@ -103,6 +110,7 @@ MALFORMED = {
     "edge-type-src-as-list": lambda d: d["typegraph"]["edge_types"][0].update(
         src=["Object"]
     ),
+    "type-graph-name-as-list": _name_type_graph_with_a_list,
 }
 
 
@@ -195,6 +203,62 @@ def test_run_reports_a_pattern_failure_but_still_writes(capsys, tmp_path):
     state = json.loads((tmp_path / "state.json").read_text())
     assert not any(e["type"] == "at" for e in state["edges"])
     assert any(n["type"] == "PositionToken" for n in state["nodes"])
+
+
+@pytest.mark.parametrize(
+    "cfg_id, runtime_id, extra",
+    [
+        ("first", "s1", ()),
+        ("first", "token", ()),
+        ("e1", "at", ("--max-steps", "2")),  # the token is still placed
+    ],
+)
+def test_run_refuses_a_state_graph_whose_ids_clash(
+    capsys, tmp_path, cfg_id, runtime_id, extra
+):
+    # the control flow graph and the runtime elements share the state
+    # graph's one namespace, so a clash would merge two elements
+    data = json.loads((FIXTURES / "two_node_seq.diagram.json").read_text())
+    if cfg_id == "e1":
+        (edge,) = [e for e in data["cfg"]["edges"] if e["id"] == "e1"]
+        edge["id"] = runtime_id
+    else:
+        data = json.loads(json.dumps(data).replace(f'"{cfg_id}"', f'"{runtime_id}"'))
+    path = tmp_path / "renamed.diagram.json"
+    path.write_text(json.dumps(data))
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    want, _, _ = run_cli(
+        capsys, *run_args(str(path), LIST3, plain, "--this", "o1", *extra)
+    )
+    state = tmp_path / "state.json"
+    argv = run_args(str(path), LIST3, tmp_path, "--this", "o1", *extra)
+    code, out, err = run_cli(capsys, *argv, "--state", str(state))
+    assert want == (5 if extra else 0)
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: control flow graph id {runtime_id!r} is also a runtime id "
+        "of the execution state graph\n"
+    )
+    assert not state.exists()
+    for name in ("out.json", "trace.jsonl"):
+        assert (tmp_path / name).read_bytes() == (plain / name).read_bytes()
+
+
+def test_run_writes_graph_files_without_the_python_json_encoder(
+    capsys, tmp_path, monkeypatch
+):
+    # with `indent`, json.dumps runs the pure-Python encoder, which is
+    # several times slower than the writer `serialize_graph` uses
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    state = tmp_path / "state.json"
+    argv = run_args(STAR, STAR5, tmp_path, "--this", "o0", "--state", str(state))
+    code, _, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert state.exists()
 
 
 def test_run_reports_budget_exhaustion(capsys, tmp_path):

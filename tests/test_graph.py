@@ -15,6 +15,7 @@ import sdm.canon
 import sdm.graph
 from sdm.cli import main
 from sdm.denot import SemSet
+from sdm.diagram import DiagramError, load_story_diagram
 from sdm.graph import (
     Edge,
     EdgeType,
@@ -34,6 +35,7 @@ from sdm.graph import (
     twin_classes,
     validate_typing,
 )
+from sdm.interp import initialize, run
 from sdm.rewrite import enumerate_language
 from sdm.syntax import syntax_grammar
 
@@ -47,7 +49,11 @@ from .conftest import (
     with_twins,
     zoo_tg,
 )
-from .oracles import brute_force_isomorphic, networkx_isomorphic
+from .oracles import (
+    brute_force_isomorphic,
+    networkx_isomorphic,
+    reference_serialize_graph,
+)
 
 
 def test_type_graph_rejects_unknown_parent():
@@ -525,6 +531,72 @@ def test_round_trip_identity():
 def test_serialize_is_deterministic():
     g = make_list(linked_list_tg(), 3)
     assert serialize_graph(g) == serialize_graph(g)
+
+
+# names json must escape: a quote, a backslash, control characters, DEL,
+# non-ASCII, a line separator and an astral character (a surrogate pair)
+AWKWARD = ['q"uote', "back\\slash", "\x00\t\n\x1f", "\x7fü", "\u2028", "\U0001d538x"]
+
+
+def _awkward_graph() -> TypedGraph:
+    types = {f"T{name}": None for name in AWKWARD}
+    tg = TypeGraph(
+        "tg " + "".join(AWKWARD),
+        types,
+        {f"E{name}": EdgeType(t, t) for name, t in zip(AWKWARD, types)},
+    )
+    b = GraphBuilder(tg)
+    for name, t in zip(AWKWARD, types):
+        b.node(f"n{name}", t)
+        b.edge(f"e{name}", f"E{name}", f"n{name}", f"n{name}")
+    return b.build()
+
+
+def _fixture_runs():
+    """(diagram, model, this, strategy) for every fixture run that starts."""
+    for path in sorted(FIXTURES.glob("*.diagram.json")):
+        try:
+            d = load_story_diagram(path)
+        except (FormatError, DiagramError):
+            continue
+        for model_path in sorted(FIXTURES.glob("*.model.json")):
+            model = parse_graph(model_path.read_text(encoding="utf-8"), d.tg)
+            for this in model.node_ids():
+                for strategy in ("conservative", "optimistic"):
+                    yield d, model, this, strategy
+
+
+def test_serialize_equals_the_json_dumps_reference():
+    tg = linked_list_tg()
+    parallel = (
+        GraphBuilder(tg)
+        .node("a", "Object")
+        .node("b", "Object")
+        .edge("e2", "next", "a", "b")
+        .edge("e1", "next", "a", "b")
+        .edge("e3", "next", "b", "b")
+        .build()
+    )
+    graphs = [
+        TypedGraph(tg, {}, {}),
+        make_list(tg, 1),
+        TypedGraph(tg, {"b": "Object", "a": "Object"}, {}),
+        parallel,
+        _awkward_graph(),
+    ]
+    rng = random.Random(5)
+    graphs += [random_graph(rng, zoo_tg(), 8, 14) for _ in range(50)]
+    runs = 0
+    for d, model, this, strategy in _fixture_runs():
+        c, _ = run(initialize(d, model, this, strategy=strategy), max_steps=200)
+        graphs += [c.state_graph(), c.model]
+        runs += 1
+    assert runs > 100
+    for g in graphs:
+        text = serialize_graph(g)
+        assert text == reference_serialize_graph(g)
+        assert text.isascii()
+        assert parse_graph(text, g.tg) == g
 
 
 def test_parse_rejects_bad_json():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdm.graph
+from sdm.diagram import load_story_diagram
 from sdm.graph import (
     Edge,
     GraphBuilder,
@@ -36,7 +37,9 @@ from sdm.rewrite import (
     rule_from_dict,
     rule_to_dict,
 )
+from sdm.syntax import syntax_grammar
 
+from .builders import FIXTURES
 from .conftest import (
     as_networkx,
     linked_list_tg,
@@ -746,6 +749,27 @@ def test_enumerate_is_deterministic():
     a = [serialize_graph(g) for g in enumerate_language(grammar, 4).graphs]
     b = [serialize_graph(g) for g in enumerate_language(grammar, 4).graphs]
     assert a == b
+
+
+def test_rule_constants_equal_a_recomputation():
+    rules = list(syntax_grammar().rules)
+    for path in sorted(FIXTURES.glob("*.diagram.json")):
+        if path.name != "invalid_cfg.diagram.json":
+            rules += [p.rule for p in load_story_diagram(path).patterns.values()]
+    assert any(r.deleted_lhs_nodes() for r in rules)
+    assert any(r.created_rhs_nodes() for r in rules)
+    for rule in rules:
+        image = set(rule.mapping.node_map.values())
+        deleted = [n for n in rule.lhs.node_ids() if n not in rule.mapping.node_map]
+        created = [n for n in rule.rhs.node_ids() if n not in image]
+        for method, want in (
+            (rule.deleted_lhs_nodes, deleted),
+            (rule.created_rhs_nodes, created),
+        ):
+            got = method()
+            assert got == want
+            got.append("mutated")
+            assert method() == want
 
 
 def test_rule_serialization_round_trip():
