@@ -2,27 +2,31 @@
 
 Colour refinement (Weisfeiler and Leman, 1968), then individualization
 and refinement (McKay and Piperno, "Practical graph isomorphism, II",
-J. Symb. Comput. 2014). Nodes are positions in a list, so this module
-knows nothing of ids; `sdm.graph.canonical_key` adapts typed graphs.
+J. Symb. Comput. 2014), with the search pruned by the automorphisms its
+leaves reveal. Nodes are positions in a list, so this module knows
+nothing of ids; `sdm.graph.canonical_key` adapts typed graphs.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
-# leaves the individualization search may reach per graph; past it the
-# graph has no canonical form and isomorphism falls back to a pairwise search
+# leaves that reveal no automorphism the search may reach per graph; each
+# other leaf ends a branch above a counted one, so n² at most per counted leaf
 _LEAF_BUDGET = 512
+
+
+class SearchBudgetError(Exception):
+    """A canonical form needs more search leaves than `_LEAF_BUDGET`."""
 
 
 def canonical_form(
     types: list[str],
     edges: list[tuple[int, int, str]],
     twins: Callable[[], list[int]],
-) -> Optional[tuple[tuple, list[int]]]:
+) -> tuple[tuple, list[int]]:
     """A key that two graphs share exactly when they are isomorphic, and a
-    labelling: the nodes in key order. None once the search for it has
-    reached more leaves than its budget.
+    labelling: the nodes in key order.
 
     `types` holds each node's type and `edges` each edge's (source,
     target, type); `twins()` gives each node's twin class, as
@@ -39,6 +43,14 @@ def canonical_form(
     edges. The key holds the edge types and the sorted tuple of part keys,
     the parts being the components, or the whole graph when refinement
     alone ordered it.
+
+    A leaf that serializes like the least one maps each node there to the
+    node at its position here, an automorphism, and the search goes back
+    to where the two paths part. A search node skips the classes in the
+    orbits of those searched there, under the automorphisms found below
+    it. Pruned branches hold only keys already seen, so the key and the
+    labelling do not change. Past `_LEAF_BUDGET` leaves that yield no
+    automorphism, it raises `SearchBudgetError`.
     """
     etypes = sorted({t for _, _, t in edges})
     ecode = {t: k for k, t in enumerate(etypes)}
@@ -61,44 +73,72 @@ def canonical_form(
     start = [(t, sorted(c)) for t, c in zip(types, codes)]
     refined, cells = _refine(links, start, None)
     if len(cells) == len(types):
-        part, order = _part(types, range(len(types)), refined, coded, radix)
+        part, order = _part(types, refined, coded, radix)
         return (tuple(etypes), (part,)), order
     twin: list[int] = []  # filled once a search branches
     budget = [_LEAF_BUDGET]
 
-    def component_key(comp: list[int]) -> Optional[tuple[tuple, list[int]]]:
+    def component_key(comp: list[int]) -> tuple[tuple, list[int]]:
         size = len(comp)
         local = {i: a for a, i in enumerate(comp)}
         adj = [[(local[j], c) for j, c in links[i]] for i in comp]
         inner = [(local[i], local[j], k) for i, j, k in coded if i in local]
-        best: list = []  # the least leaf's key and order
+        inner_types = [types[i] for i in comp]
+        best: list = []  # the least leaf's key, order and path
+        autos: list[list[int]] = []  # each maps a position to its image
 
-        def search(sigs: list, pivots: list[int]) -> bool:
+        def search(sigs: list, pivots: list[int], path: list[int]) -> int:
+            # path: a member of each class individualized on the way; returns
+            # the depth to go on at, less than here once the rest is mirrored
             colour, cells = _refine(adj, sigs, pivots)
             if len(cells) == size:
+                key, order = _part(inner_types, colour, inner, radix)
+                if best and key == best[0]:
+                    autos.append([b for _, b in sorted(zip(best[1], order))])
+                    depth = 0
+                    while path[depth] == best[2][depth]:
+                        depth += 1
+                    return depth
                 budget[0] -= 1
-                leaf = _part(types, comp, colour, inner, radix)
-                if not best or leaf[0] < best[0]:
-                    best[:] = leaf
-                return budget[0] >= 0
+                if budget[0] < 0:
+                    raise SearchBudgetError(
+                        f"isomorphism search budget of {_LEAF_BUDGET} leaves exhausted"
+                    )
+                if not best or key < best[0]:
+                    best[:] = key, order, path
+                return len(path)
             target = min(s for s, members in cells.items() if len(members) > 1)
             if not twin:
                 twin.extend(twins())
             classes: dict[int, list[int]] = {}
             for a in cells[target]:
                 classes.setdefault(twin[comp[a]], []).append(a)
-            for members in classes.values():
+            # automorphisms found below here fix each class on the path, as
+            # their two leaves share it; orbits closes the searched classes
+            first, orbits = len(autos), set()
+            for t, members in classes.items():
+                if t in orbits:
+                    continue
                 k = len(members)
                 split = [c * (k + 1) + k for c in colour]
                 for r, a in enumerate(sorted(members)):
                     split[a] = target * (k + 1) + r
-                if not search(split, members):
-                    return False
-            return True
+                depth = search(split, members, path + [members[0]])
+                if depth < len(path):
+                    return depth
+                orbits.add(t)
+                stack = list(orbits)
+                while stack:
+                    rep = classes[stack.pop()][0]
+                    for auto in autos[first:]:
+                        image = twin[comp[auto[rep]]]
+                        if image not in orbits:
+                            orbits.add(image)
+                            stack.append(image)
+            return len(path)
 
-        if not search([refined[i] for i in comp], []):
-            return None
-        return best[0], best[1]
+        search([refined[i] for i in comp], [], [])
+        return best[0], [comp[a] for a in best[1]]
 
     parts = []
     seen = [False] * len(types)
@@ -112,26 +152,23 @@ def canonical_form(
                 if not seen[j]:
                     seen[j] = True
                     comp.append(j)
-        part = component_key(sorted(comp))
-        if part is None:
-            return None
-        parts.append(part)
+        parts.append(component_key(sorted(comp)))
     parts.sort(key=lambda part: part[0])
     key = (tuple(etypes), tuple([key for key, _ in parts]))
     return key, [i for _, order in parts for i in order]
 
 
 def _part(
-    types: list[str], comp: Sequence[int], colour: list[int], edges: list, radix: int
+    types: list[str], colour: list[int], edges: list, radix: int
 ) -> tuple[tuple, list[int]]:
-    """The key of a part under a colouring that orders its nodes, and the
-    part's nodes in that order; edges are in the part's own positions."""
+    """The key of a part under a colouring that orders its nodes, and its
+    nodes in that order, all by the part's own positions."""
     size = len(colour)
     found = sorted([(colour[a] * size + colour[b]) * radix + k for a, b, k in edges])
     order = [0] * size
     for a, c in enumerate(colour):
-        order[c] = comp[a]
-    return (tuple([types[i] for i in order]), tuple(found)), order
+        order[c] = a
+    return (tuple([types[a] for a in order]), tuple(found)), order
 
 
 def _refine(

@@ -14,6 +14,7 @@ import json
 import sys
 from typing import Optional
 
+from .canon import SearchBudgetError
 from .denot import OracleError, cross_check
 from .diagram import DiagramError, load_story_diagram
 from .graph import FormatError, GraphError, parse_graph, serialize_graph
@@ -208,7 +209,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.command == "enumerate" and args.max_nodes < 3:
         parser.error("--max-nodes must be at least 3")
     # looked up per call: bench/spans.py wraps cmd_* after the parser is built
-    return globals()[f"cmd_{args.command}"](args)
+    try:
+        return globals()[f"cmd_{args.command}"](args)
+    except SearchBudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

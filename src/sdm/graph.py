@@ -7,7 +7,7 @@ id order.
 
 One matcher core, `_enumerate_monos`, serves matching, NAC checks and
 the validator's reduction. Canonical keys (`canonical_key`) decide
-isomorphism; the matcher decides it only where a key is over budget.
+isomorphism.
 """
 
 from __future__ import annotations
@@ -465,7 +465,6 @@ def _enumerate_monos(
     host: TypedGraph,
     forced_nodes: dict[str, str],
     forced_edges: Optional[dict[str, str]] = None,
-    injective: bool = True,
 ) -> Iterator[tuple[dict[str, str], dict[str, str]]]:
     """Yield structure- and typing-preserving occurrences, smallest first.
 
@@ -497,12 +496,12 @@ def _enumerate_monos(
     def node_ok(pn: str, hn: str) -> bool:
         if hn not in host_nodes or not conforms(host_nodes[hn], ptypes[pn]):
             return False
-        if injective and hn in assigned.values():
+        if hn in assigned.values():
             return False
         for a, b, etype, need in needs[pn]:
             src = hn if a == pn else assigned[a]
             trg = hn if b == pn else assigned[b]
-            if len(_parallel_edges(host, src, trg, etype)) < (need if injective else 1):
+            if len(_parallel_edges(host, src, trg, etype)) < need:
                 return False
         return True
 
@@ -545,10 +544,8 @@ def _enumerate_monos(
         else:
             candidates = _parallel_edges(host, want_src, want_trg, e.type)
         for hid in candidates:
-            if injective and hid in used:
-                continue
             he = host.edges.get(hid)
-            if he is None or he.src != want_src or he.trg != want_trg:
+            if hid in used or he is None or he.src != want_src or he.trg != want_trg:
                 continue
             emap[pe] = hid
             used.add(hid)
@@ -599,8 +596,8 @@ def twin_classes(g: TypedGraph) -> list[list[str]]:
     return list(classes.values())
 
 
-def _canonical(g: TypedGraph) -> tuple:
-    """g's key and labelling, computed once; both None over budget."""
+def _canonical(g: TypedGraph) -> tuple[tuple, list[str]]:
+    """g's key and labelling, computed once."""
     if g._canon is None:
         nodes = list(g.nodes)
         index = {n: i for i, n in enumerate(nodes)}
@@ -613,33 +610,16 @@ def _canonical(g: TypedGraph) -> tuple:
             return twin
 
         edges = [(index[e.src], index[e.trg], e.type) for e in g.edges.values()]
-        form = canonical_form(list(g.nodes.values()), edges, twins)
-        if form is None:
-            g._canon = (None, None)
-        else:
-            g._canon = (form[0], [nodes[i] for i in form[1]])
+        key, order = canonical_form(list(g.nodes.values()), edges, twins)
+        g._canon = (key, [nodes[i] for i in order])
     return g._canon
 
 
-def canonical_key(g: TypedGraph) -> Optional[tuple]:
+def canonical_key(g: TypedGraph) -> tuple:
     """A key that two graphs over one type graph share exactly when they
-    are isomorphic, computed once per graph; None when the search for it
-    exceeds its leaf budget. See `sdm.canon.canonical_form`."""
+    are isomorphic, computed once per graph. See `sdm.canon.canonical_form`,
+    whose `SearchBudgetError` this passes on."""
     return _canonical(g)[0]
-
-
-def _pairwise_isomorphism(
-    g: TypedGraph, h: TypedGraph
-) -> Optional[PartialMorphism]:
-    """The matcher's first occurrence of g in h; for graphs with equal
-    counts and signatures, a type-exact isomorphism or None. The fallback
-    for graphs whose keys are over budget."""
-    # equal counts make the matcher's injective morphism bijective, and
-    # equal node-type multisets make a bijection whose images conform
-    # to their preimages' types keep every type exactly
-    for node_map, edge_map in _enumerate_monos(g, h, {}):
-        return PartialMorphism(g, h, node_map, edge_map)
-    return None
 
 
 def find_isomorphism(g: TypedGraph, h: TypedGraph) -> Optional[PartialMorphism]:
@@ -647,8 +627,7 @@ def find_isomorphism(g: TypedGraph, h: TypedGraph) -> Optional[PartialMorphism]:
 
     Both graphs must share one type graph. Their canonical keys decide,
     and the bijection sends each node to the node at the same position of
-    the other's labelling. When a key is over budget, the pairwise search
-    decides.
+    the other's labelling.
     """
     if g.tg != h.tg:
         raise GraphError("isomorphism requires a shared type graph")
@@ -657,8 +636,6 @@ def find_isomorphism(g: TypedGraph, h: TypedGraph) -> Optional[PartialMorphism]:
     if iso_signature(g) != iso_signature(h):
         return None
     (g_key, g_order), (h_key, h_order) = _canonical(g), _canonical(h)
-    if g_key is None or h_key is None:
-        return _pairwise_isomorphism(g, h)
     if g_key != h_key:
         return None
     # with every node pinned to its image, the matcher only pairs the
@@ -674,9 +651,8 @@ class IsoSet:
     lone member matches itself, or a graph equal to it by value, without
     a key. Once a bucket holds a second graph, its members are also held
     by `canonical_key`, componentwise, and a graph matches the member with
-    its key over the same type graph. Parts whose keys are over budget
-    are compared by the pairwise search. Iteration runs bucket by bucket,
-    in insertion order.
+    its key over the same type graph. Iteration runs bucket by bucket, in
+    insertion order.
     """
 
     def __init__(self) -> None:
@@ -702,16 +678,7 @@ class IsoSet:
             keyed = self._keyed[signature] = {_keys(_parts(lone)): [lone]}
         keys = _keys(parts)
         for member in keyed.get(keys, ()):
-            if all(
-                a.tg == b.tg
-                and (
-                    key is not None
-                    or a is b
-                    or a == b
-                    or _pairwise_isomorphism(a, b) is not None
-                )
-                for a, b, key in zip(parts, _parts(member), keys)
-            ):
+            if all(a.tg == b.tg for a, b in zip(parts, _parts(member))):
                 return signature, keys, True
         return signature, keys, False
 

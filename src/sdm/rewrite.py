@@ -149,25 +149,16 @@ class LanguageResult:
         return g in self.members
 
 
-def check_nac(nac: NAC, match: Match, injective: bool = True) -> bool:
+def check_nac(nac: NAC, match: Match) -> bool:
     """True if the match is allowed; False if a forbidding witness exists.
 
-    A witness is a morphism q from the NAC graph into the host agreeing
-    with the match on the embedded lhs. Witnesses are injective unless
-    relaxed via the flag.
+    A witness is an injective morphism q from the NAC graph into the host
+    agreeing with the match on the embedded lhs.
     """
     host = match.morphism.dst
-    forced_nodes = {
-        nac.embedding.node_map[l]: match.node_map[l]
-        for l in match.node_map
-    }
-    forced_edges = {
-        nac.embedding.edge_map[l]: match.edge_map[l]
-        for l in match.edge_map
-    }
-    for _ in _enumerate_monos(
-        nac.graph, host, forced_nodes, forced_edges, injective=injective
-    ):
+    forced_nodes = {nac.embedding.node_map[l]: n for l, n in match.node_map.items()}
+    forced_edges = {nac.embedding.edge_map[l]: e for l, e in match.edge_map.items()}
+    for _ in _enumerate_monos(nac.graph, host, forced_nodes, forced_edges):
         return False
     return True
 
@@ -176,7 +167,6 @@ def find_matches(
     rule: Rule,
     host: TypedGraph,
     partial: Optional[dict[str, str]] = None,
-    nac_injective: bool = True,
     first: bool = False,
 ) -> list[Match]:
     """All NAC-respecting total injective matches, lexicographically ordered.
@@ -206,7 +196,7 @@ def find_matches(
     for node_map, edge_map in _enumerate_monos(rule.lhs, host, partial):
         morphism = PartialMorphism(rule.lhs, host, node_map, edge_map)
         match = Match(rule, morphism)
-        if all(check_nac(nac, match, injective=nac_injective) for nac in rule.nacs):
+        if all(check_nac(nac, match) for nac in rule.nacs):
             matches.append(match)
             if first:
                 break

@@ -212,7 +212,6 @@ def _reference_monos(
     host: TypedGraph,
     forced_nodes: dict[str, str],
     forced_edges: Optional[dict[str, str]] = None,
-    injective: bool = True,
 ) -> Iterator[tuple[dict[str, str], dict[str, str]]]:
     """Backtracking over sorted pattern ids, trying every host node in turn
     and re-checking every pair of assigned nodes for each candidate."""
@@ -225,7 +224,7 @@ def _reference_monos(
             return False
         if not host.tg.conforms(host.nodes[hn], pattern.nodes[pn]):
             return False
-        if injective and hn in assigned.values():
+        if hn in assigned.values():
             return False
         trial = dict(assigned)
         trial[pn] = hn
@@ -236,10 +235,7 @@ def _reference_monos(
                 }:
                     need = _reference_count(pattern, a, b, etype)
                     have = _reference_count(host, trial[a], trial[b], etype)
-                    if injective:
-                        if have < need:
-                            return False
-                    elif need > 0 and have == 0:
+                    if have < need:
                         return False
         return True
 
@@ -283,7 +279,7 @@ def _reference_monos(
                 if he.trg == want_trg and he.type == e.type
             ]
         for hid in candidates:
-            if injective and hid in used:
+            if hid in used:
                 continue
             he = host.edges.get(hid)
             if he is None or he.src != want_src or he.trg != want_trg:
@@ -303,7 +299,6 @@ def reference_matches(
     rule,
     host: TypedGraph,
     partial: Optional[dict[str, str]] = None,
-    nac_injective: bool = True,
     first: bool = False,
 ) -> list[Match]:
     """Every NAC-respecting match, listed in full and then sorted
@@ -326,9 +321,7 @@ def reference_matches(
         forced_edges = {
             nac.embedding.edge_map[l]: match.edge_map[l] for l in match.edge_map
         }
-        witnesses = _reference_monos(
-            nac.graph, host, forced_nodes, forced_edges, injective=nac_injective
-        )
+        witnesses = _reference_monos(nac.graph, host, forced_nodes, forced_edges)
         return next(witnesses, None) is None
 
     matches = []

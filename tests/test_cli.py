@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import sdm.canon
 from sdm.cli import main
 
 from .builders import FIXTURES
@@ -387,6 +388,31 @@ def test_oracle_refuses_an_oversized_model(capsys, tmp_path):
     )
     assert code == 6
     assert "oracle refused" in err
+
+
+def test_oracle_reports_an_exhausted_isomorphism_search_budget(
+    capsys, tmp_path, monkeypatch
+):
+    # two 3-rings: refinement leaves all six nodes in one cell, and each
+    # ring's search reaches a leaf of its own, so their key needs two leaves
+    edges = []
+    for i in range(6):
+        trg = i - i % 3 + (i + 1) % 3
+        edges.append({"id": f"l{i}", "src": f"o{i}", "trg": f"o{trg}", "type": "next"})
+    rings = {
+        "typegraph": "linked-list",
+        "nodes": [{"id": f"o{i}", "type": "Object"} for i in range(6)],
+        "edges": edges,
+    }
+    path = tmp_path / "rings.json"
+    path.write_text(json.dumps(rings))
+    argv = ["oracle", DNO, str(path), "--this", "o0", "--model-bound", "6"]
+    assert run_cli(capsys, *argv)[0] == 0
+    monkeypatch.setattr(sdm.canon, "_LEAF_BUDGET", 1)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 5
+    assert err.startswith("error: isomorphism search budget of 1 leaves exhausted")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])

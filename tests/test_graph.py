@@ -302,7 +302,6 @@ def test_isoset_matches_equal_values_without_a_search(monkeypatch):
         raise AssertionError("an equal-valued member needs no search")
 
     monkeypatch.setattr(sdm.graph, "canonical_form", no_search)
-    monkeypatch.setattr(sdm.graph, "_pairwise_isomorphism", no_search)
     tg = linked_list_tg()
     g, copy = make_list(tg, 3), make_list(tg, 3)
     assert copy is not g and copy == g
@@ -393,39 +392,67 @@ def test_searched_keys_do_not_depend_on_ids():
         assert all(find_isomorphism(g, copy) is not None for copy in copies)
 
 
-@pytest.fixture
-def pairwise_searches(monkeypatch) -> list:
-    """The pairs handed to the pairwise search while the test runs."""
-    searches = []
-    pairwise = sdm.graph._pairwise_isomorphism
-
-    def counted(g, h):
-        searches.append((g, h))
-        return pairwise(g, h)
-
-    monkeypatch.setattr(sdm.graph, "_pairwise_isomorphism", counted)
-    return searches
-
-
-def test_keys_over_budget_fall_back_to_the_pairwise_search(
-    monkeypatch, pairwise_searches
-):
-    monkeypatch.setattr(sdm.canon, "_LEAF_BUDGET", 1)
-    # rings branch at every node, so one leaf is never enough for them
-    rng = random.Random(17)
+def _shuffled_rings(monkeypatch, *shapes: tuple[int, ...]) -> list[TypedGraph]:
+    """Shuffled disjoint next-cycles of the given lengths, to be keyed with a
+    budget of two leaves: refinement leaves every ring node in one cell, so
+    only automorphism pruning keeps the search within it."""
+    monkeypatch.setattr(sdm.canon, "_LEAF_BUDGET", 2)
+    rng = random.Random(len(shapes))
     tg = linked_list_tg()
-    shapes = [_cycles(tg, (6,)), _cycles(tg, (3, 3)), _cycles(tg, (2, 4))]
-    shapes.append(make_list(tg, 6))
-    graphs = [shuffled_copy(rng, rng.choice(shapes)) for _ in range(24)]
-    members = IsoSet()
-    for g in graphs:
-        members.add(g)
-    assert len(members) == len(shapes)
-    assert all(g in members for g in graphs)
-    for g, h in itertools.combinations(graphs[:10], 2):
-        assert (find_isomorphism(g, h) is not None) == networkx_isomorphic(g, h)
-    keys = [canonical_key(g) for g in graphs]
-    assert pairwise_searches and None in keys and any(k is not None for k in keys)
+    return [shuffled_copy(rng, _cycles(tg, shape)) for shape in shapes]
+
+
+def test_large_shuffled_rings_key_within_two_leaves(monkeypatch):
+    ring, big, again = _shuffled_rings(monkeypatch, (400,), (2000,), (400,))
+    assert canonical_key(ring) == canonical_key(again) != canonical_key(big)
+
+
+def test_one_ring_and_two_rings_key_apart_within_two_leaves(monkeypatch):
+    for k in (2, 3, 5, 8, 13, 100):
+        one, two, turned = _shuffled_rings(monkeypatch, (2 * k,), (k, k), (2 * k,))
+        assert canonical_key(one) == canonical_key(turned) != canonical_key(two)
+        assert find_isomorphism(one, turned) and not find_isomorphism(one, two)
+        members = IsoSet()
+        assert members.add(one) and members.add(two) and not members.add(turned)
+
+
+def _circulant(n: int, jumps: list[tuple[int, str]]) -> TypedGraph:
+    """n nodes and, for each (jump, type), an edge of that type from each
+    node i to node i + jump, mod n; every node has the same typed degrees."""
+    tg = TypeGraph(
+        "two-edge",
+        {"Object": None},
+        {"a": EdgeType("Object", "Object"), "b": EdgeType("Object", "Object")},
+    )
+    b = GraphBuilder(tg)
+    for i in range(n):
+        b.node(f"v{i}", "Object")
+    for k, (jump, etype) in enumerate(jumps):
+        for i in range(n):
+            b.edge(f"e{k}.{i}", etype, f"v{i}", f"v{(i + jump) % n}")
+    return b.build()
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_circulant_keys_agree_with_networkx(seed):
+    # circulants are vertex-transitive, so refinement never splits them and
+    # the search meets their automorphisms; a circulant with other jumps, or
+    # two half-size ones, gives every node the same typed degrees
+    rng = random.Random(seed)
+    n = rng.randint(3, 14)
+    etypes = [rng.choice("ab") for _ in range(rng.randint(1, 3))]
+    g = _circulant(n, [(rng.randrange(1, n), t) for t in etypes])
+    others = [_circulant(n, [(rng.randrange(1, n), t) for t in etypes])]
+    if n % 2 == 0:
+        half = _circulant(n // 2, [(rng.randrange(1, n // 2), t) for t in etypes])
+        others.append(_union(half, half))
+    for h in (shuffled_copy(rng, g), *(shuffled_copy(rng, o) for o in others)):
+        iso = find_isomorphism(g, h)
+        same = canonical_key(g) == canonical_key(h)
+        assert same == (iso is not None) == networkx_isomorphic(g, h)
+        if iso is not None:
+            assert iso.is_total() and iso.is_injective()
 
 
 def test_shuffled_rings_are_told_apart_quickly():
@@ -448,9 +475,9 @@ def test_shuffled_rings_are_told_apart_quickly():
     assert time.perf_counter() - start < 2.0
 
 
-def test_keys_decide_enumeration_and_the_fixture_oracles(pairwise_searches, capsys):
-    # no key on these inputs runs over budget, so the pairwise search,
-    # exponential at worst, stays out of both workloads
+def test_keys_decide_enumeration_and_the_fixture_oracles(capsys):
+    # no key on these inputs runs over budget: enumeration would raise, and
+    # `oracle` exits 5 only when the isomorphism search budget is exhausted
     for bound, size in ((4, 6), (5, 34), (6, 188), (7, 1061)):
         assert len(enumerate_language(syntax_grammar(), bound).graphs) == size
     codes = []
@@ -463,7 +490,7 @@ def test_keys_decide_enumeration_and_the_fixture_oracles(pairwise_searches, caps
                     argv += ["--max-steps", "200", "--strategy", strategy]
                     codes.append(main(argv))
     capsys.readouterr()
-    assert pairwise_searches == [] and codes.count(0) > 100
+    assert 5 not in codes and codes.count(0) > 100
 
 
 def test_a_graph_over_another_type_graph_is_no_member():

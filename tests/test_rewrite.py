@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import sdm.graph
 from sdm.diagram import load_story_diagram
 from sdm.graph import (
     Edge,
@@ -51,6 +50,7 @@ from .conftest import (
 from .oracles import (
     brute_force_matches,
     naive_pushout,
+    networkx_isomorphic,
     reference_enumerate_language,
     reference_matches,
     reference_next_fresh,
@@ -296,14 +296,9 @@ def test_match_list_equals_the_reference_matcher_in_order(seed):
     host = random_graph(rng, tg, 6, 12)
     rule = _rule_with_random_nacs(rng, host)
     partial = _random_pins(rng, rule.lhs, host)
-    for nac_injective in (True, False):
-        want = _maps(reference_matches(rule, host, partial, nac_injective))
-        got = find_matches(rule, host, partial, nac_injective=nac_injective)
-        assert _maps(got) == want
-        head = find_matches(
-            rule, host, partial, nac_injective=nac_injective, first=True
-        )
-        assert _maps(head) == want[:1]
+    want = _maps(reference_matches(rule, host, partial))
+    assert _maps(find_matches(rule, host, partial)) == want
+    assert _maps(find_matches(rule, host, partial, first=True)) == want[:1]
 
 
 def _chase_rule(tg) -> Rule:
@@ -358,22 +353,20 @@ def test_plans_reused_across_hosts_and_pin_sets_keep_every_match(plan_builds):
             pin_sets.append({"a": animals[0], "b": animals[1], "t": toys[0]})
         for pins in pin_sets:
             pin_keys.add(frozenset(pins))
-            for nac_injective in (True, False) if i % 2 else (False, True):
-                want = _maps(reference_matches(rule, host, pins, nac_injective))
-                got = find_matches(rule, host, pins, nac_injective=nac_injective)
-                assert _maps(got) == want, (i, pins, nac_injective)
-                listed += len(want)
+            want = _maps(reference_matches(rule, host, pins))
+            assert _maps(find_matches(rule, host, pins)) == want, (i, pins)
+            listed += len(want)
         forbidden += len(unguarded) - len(reference_matches(rule, host))
     assert listed and forbidden
     assert len(pin_keys) == 4
     assert sum(p is rule.lhs for p in plan_builds) == len(pin_keys)
     assert all(sum(p is nac.graph for p in plan_builds) == 1 for nac in rule.nacs)
-    # the same graphs as patterns of an isomorphism, pinned wholly or not at all
+    # the same graphs as patterns of an isomorphism, every node pinned
     for g in (rule.lhs, *(nac.graph for nac in rule.nacs)):
         copy = shuffled_copy(rng, g)
-        pairwise = sdm.graph._pairwise_isomorphism(g, copy)
-        for iso in (find_isomorphism(g, copy), pairwise):
-            assert iso is not None and iso.is_total() and iso.is_injective()
+        iso = find_isomorphism(g, copy)
+        assert iso is not None and iso.is_total() and iso.is_injective()
+        assert networkx_isomorphic(g, copy)
 
 
 def _networkx_node_maps(pattern: TypedGraph, host: TypedGraph) -> set:
@@ -461,7 +454,7 @@ def test_nac_allows_when_witness_absent():
     assert len(find_matches(rule, host)) == 2
 
 
-def test_nac_injectivity_flag_changes_outcome():
+def test_nac_witnesses_are_injective():
     tg = linked_list_tg()
     lhs = GraphBuilder(tg).node("x", "Object").build()
     rhs = GraphBuilder(tg).node("x", "Object").build()
@@ -473,8 +466,7 @@ def test_nac_injectivity_flag_changes_outcome():
     rule = Rule("lonely", lhs, rhs, mapping, (NAC(nac_graph, embedding),))
     host = GraphBuilder(tg).node("a", "Object").build()
     [match] = find_matches(rule, host)  # injective witness impossible
-    assert check_nac(rule.nacs[0], match, injective=True)
-    assert not check_nac(rule.nacs[0], match, injective=False)
+    assert check_nac(rule.nacs[0], match)
 
 
 def test_apply_deletes_node_with_incident_edges():
