@@ -15,7 +15,7 @@ def check(diagram_name, model_name, this):
     d = load_story_diagram(FIXTURES / diagram_name)
     model = parse_graph((FIXTURES / model_name).read_text(), d.tg)
     c, trace = run(initialize(d, model, this))
-    verdict = cross_check(d, model, trace)
+    verdict = cross_check(initialize(d, model, this), trace)
     print(f"{diagram_name} on {model_name}: run {c.status}")
     for line in verdict.divergences:
         print(f"  divergence: {line}")

@@ -123,13 +123,17 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     c, code = _start(args)
     if c is None:
         return code
-    d, model = c.diagram, c.model
+    # the replay needs its own start: `run` steps `c` in place
+    fresh = initialize(c.diagram, c.model, args.this, strategy=args.strategy)
     c, trace = run(c, max_steps=args.max_steps)
     try:
-        verdict = cross_check(d, model, trace, model_bound=args.model_bound)
+        verdict = cross_check(fresh, trace, model_bound=args.model_bound)
     except OracleError as exc:
         print(f"oracle refused: {exc}", file=sys.stderr)
         return EXIT_ORACLE_REFUSED
+    except GraphError as exc:  # the run and its own record disagree
+        print(f"undocumented disagreement: {exc}", file=sys.stderr)
+        return EXIT_DISAGREEMENT
     for note in verdict.divergences:
         print(f"documented divergence: {note}")
     for note in verdict.notes:

@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 from .diagram import StoryDiagram
 from .graph import GraphError, IsoSet, TypedGraph, twin_classes
-from .interp import Trace, replay
+from .interp import Configuration, Trace, replay
 from .rewrite import Match, Rule, apply_rule, find_matches
 from .syntax import (
     COND_JOINING,
@@ -235,19 +235,21 @@ class Verdict:
 
 
 def cross_check(
-    d: StoryDiagram,
-    model: TypedGraph,
+    c: Configuration,
     trace: Trace,
     model_bound: int = DEFAULT_MODEL_BOUND,
     depth: int = DEFAULT_UNROLL_DEPTH,
 ) -> Verdict:
-    """Compare a recorded run against the denotational pair set.
+    """Replay a run from its freshly initialized configuration `c`, and
+    compare it against the denotational pair set.
 
     All-success runs must produce a pair in the set. A failed
     sequential invocation and a conditional whose failure was caused
     only by pinned bindings are documented divergences, reported but
-    not failures. The model size bound keeps the brute force honest.
+    not failures. A trace that `step` does not give back raises
+    GraphError. The model size bound keeps the brute force honest.
     """
+    d, model = c.diagram, c.model
     if len(model.nodes) > model_bound:
         raise OracleError(
             f"model has {len(model.nodes)} nodes, oracle bound is {model_bound}"
@@ -256,7 +258,7 @@ def cross_check(
 
     v = Verdict(ok=True)
     terminated = False
-    for ts, g in replay(d, model, trace):
+    for ts, g in replay(c, trace):
         if ts.outcome == "terminated":
             terminated = True
         elif ts.outcome == "failed":

@@ -4,7 +4,9 @@ Execution walks the position token over the control-flow graph. Each
 step invokes the pattern at the token's node against the model,
 applies one semantic transition (token shift, branch-scope creation,
 binding updates, join policy), and appends one trace record. The whole
-run is deterministic for a fixed match-order mode and seed.
+run is deterministic for a fixed match-order mode and seed. Replay
+re-runs `step` with each record's match as the choice, and requires
+every step to give the record back.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .diagram import (
     CFVariable,
     ScopeTree,
     StoryDiagram,
+    StoryPattern,
     analyze_scopes,
 )
 from .graph import (
@@ -26,12 +29,11 @@ from .graph import (
     EdgeType,
     FormatError,
     GraphError,
-    PartialMorphism,
     TypedGraph,
     TypeGraph,
     _check_names,
 )
-from .rewrite import Match, apply_rule, check_nac, find_matches
+from .rewrite import Match, apply_rule, find_matches
 from .syntax import (
     ABSTRACT,
     CF_NODE,
@@ -190,14 +192,12 @@ class Configuration:
         scopes: ScopeTree,
         model: TypedGraph,
         strategy: str,
-        match_order: str,
-        rng: Optional[random.Random],
+        rng: Optional[random.Random],  # None under lex match order
     ):
         self.diagram = diagram
         self.scopes = scopes
         self.model = model
         self.strategy = strategy
-        self.match_order = match_order
         self.rng = rng
         self.status = RUNNING
         self.failed_node: Optional[str] = None
@@ -379,72 +379,54 @@ def initialize(
         )
     scopes = analyze_scopes(d)
     rng = random.Random(seed) if match_order == "random" else None
-    c = Configuration(d, scopes, model, strategy, match_order, rng)
+    c = Configuration(d, scopes, model, strategy, rng)
     root = c._new_instance(ROOT_SCOPE, None)
     c.current = root.id
     c._bind(root, name, this_node)
     return c
 
 
-@dataclass(slots=True)
-class PatternInvocationResult:
-    matched: bool
-    match: Optional[Match] = None
-    constructed: list[str] = field(default_factory=list)
-    destructed: list[str] = field(default_factory=list)
+def _choose(
+    c: Configuration, pattern: StoryPattern, pins: dict, recorded: Optional[TraceStep]
+) -> Optional[Match]:
+    """The step's match, or None when the pattern has none.
+
+    A matched record pins every left side node to its recorded image on
+    top of the binding pins in `pins`, and the choice is the candidate
+    with the recorded edge images. Otherwise it is the head of the lex
+    order, or an `rng` pick from every candidate.
+    """
+    pinned = dict(pins)
+    chosen = recorded is not None and recorded.outcome == "matched"
+    for lhs_node, name in sorted(pattern.lhs_names.items()) if chosen else ():
+        if name not in recorded.match:
+            raise GraphError(f"the record has no image for {name!r}")
+        if pinned.setdefault(lhs_node, recorded.match[name]) != recorded.match[name]:
+            raise GraphError(
+                f"variable {name!r} is bound to {pinned[lhs_node]!r}, "
+                f"the record has {recorded.match[name]!r}"
+            )
+    matches = find_matches(
+        pattern.rule, c.model, partial=pinned, first=not chosen and c.rng is None
+    )
+    if chosen:
+        matches = [m for m in matches if m.edge_map == recorded.edges]
+        if not matches:
+            raise GraphError("no match has the recorded images")
+    elif c.rng is not None and matches:
+        return matches[c.rng.randrange(len(matches))]
+    return matches[0] if matches else None
 
 
-def invoke_pattern(c: Configuration) -> PatternInvocationResult:
-    """Match the pattern at the token's node against the model.
+def step(c: Configuration, recorded: Optional[TraceStep] = None) -> Configuration:
+    """Execute one semantic step at the token's node.
 
-    The pre-match pins every pattern variable whose name currently has a
+    The pattern's match pins every variable whose name currently has a
     binding, whether or not it is statically marked bound: an existing
     binding means the variable is bound at runtime. A binding whose
-    model node was deleted fails the invocation outright.
+    model node was deleted fails the invocation outright. Given the
+    `recorded` step, the match is the record's (see `_choose`).
     """
-    node = c.token_at
-    pattern = c.diagram.pattern_at(node)
-    env = c.current_instance().bindings
-    partial: dict[str, str] = {}
-    for lhs_node, name in sorted(pattern.lhs_names.items()):
-        rec = env.get(name)
-        if rec is None:
-            if name in pattern.bound:
-                raise GraphError(
-                    f"bound variable {name!r} has no binding at node {node!r}"
-                )
-            continue
-        model_node = c.model_of(rec)
-        if model_node not in c.model.nodes:
-            return PatternInvocationResult(matched=False)  # dangling binding
-        partial[lhs_node] = model_node
-    # lex order uses only the head of the match list
-    matches = find_matches(
-        pattern.rule, c.model, partial=partial, first=c.match_order == "lex"
-    )
-    if not matches:
-        return PatternInvocationResult(matched=False)
-    if c.match_order == "random":
-        match = matches[c.rng.randrange(len(matches))]
-    else:
-        match = matches[0]
-    fresh = sorted(
-        pattern.lhs_names[l] for l in pattern.lhs_names if l not in partial
-    )
-    destructed = sorted(pattern.deleted_names())
-    constructed = sorted(
-        (set(fresh) - set(destructed)) | set(pattern.created_names())
-    )
-    return PatternInvocationResult(
-        matched=True,
-        match=match,
-        constructed=constructed,
-        destructed=destructed,
-    )
-
-
-def step(c: Configuration) -> Configuration:
-    """Execute one semantic step at the token's node."""
     if c.status != RUNNING:
         raise GraphError(f"cannot step a configuration in status {c.status!r}")
     node = c.token_at
@@ -475,24 +457,43 @@ def step(c: Configuration) -> Configuration:
         c._pop_instance(events)
 
     pattern = c.diagram.pattern_at(node)
-    result = invoke_pattern(c)
+    env = c.current_instance().bindings
+    partial: dict[str, str] = {}
+    for lhs_node, name in sorted(pattern.lhs_names.items()):
+        rec = env.get(name)
+        if rec is None:
+            if name in pattern.bound:
+                raise GraphError(
+                    f"bound variable {name!r} has no binding at node {node!r}"
+                )
+            continue
+        partial[lhs_node] = c.model_of(rec)
+        if partial[lhs_node] not in c.model.nodes:
+            match = None  # a dangling binding fails the invocation
+            break
+    else:
+        match = _choose(c, pattern, partial, recorded)
+    matched = match is not None
     kind_branches = c.diagram.classification.kinds[node] != SEQUENTIAL
 
     match_by_name: dict[str, str] = {}
     rhs_node_map: dict[str, str] = {}
-    if result.matched:
-        out = apply_rule(pattern.rule, result.match, c.model)
+    constructed: list[str] = []
+    destructed: list[str] = []
+    if matched:
+        out = apply_rule(pattern.rule, match, c.model)
         c.model = out.result
         c.model_rev += 1
         rhs_node_map = out.rhs_node_map
-        match_by_name = {
-            pattern.lhs_names[l]: h for l, h in result.match.node_map.items()
-        }
+        match_by_name = {pattern.lhs_names[l]: h for l, h in match.node_map.items()}
+        fresh = {name for l, name in pattern.lhs_names.items() if l not in partial}
+        destructed = sorted(pattern.deleted_names())
+        constructed = sorted((fresh - set(destructed)) | set(pattern.created_names()))
 
     if kind_branches:
-        polarity = SUCCESS if result.matched else FAILURE
+        polarity = SUCCESS if matched else FAILURE
         succ, fail = branch_targets(c.diagram.cfg, node)
-        target = succ if result.matched else fail
+        target = succ if matched else fail
         inst = c._new_instance(f"{node}:{polarity}", c.current)
         events.append(
             {"event": "enter", "scope": inst.id, "template": inst.template}
@@ -500,13 +501,13 @@ def step(c: Configuration) -> Configuration:
         c.current = inst.id
         update_in = inst
     else:
-        target = next_target(c.diagram.cfg, node) if result.matched else None
+        target = next_target(c.diagram.cfg, node) if matched else None
         update_in = c.current_instance()
 
     constructed_vars: list[CFVariable] = []
     destructed_vars: list[CFVariable] = []
-    if result.matched:
-        for name in result.constructed:
+    if matched:
+        for name in constructed:
             if name in pattern.created_names():
                 created_rhs = next(
                     r for r, n in pattern.rhs_names.items() if n == name
@@ -516,7 +517,7 @@ def step(c: Configuration) -> Configuration:
                 model_node = match_by_name[name]
             c._bind(update_in, name, model_node)
             constructed_vars.append(update_in.bindings[name].cfvar)
-        for name in result.destructed:
+        for name in destructed:
             rec = update_in.bindings.pop(name, None)
             cfvar = rec.cfvar if rec else c.scopes.resolve(
                 update_in.template, name
@@ -524,12 +525,11 @@ def step(c: Configuration) -> Configuration:
             if cfvar is not None:
                 destructed_vars.append(cfvar)
 
-    inv = InvocationRec(
+    c.invocations[node] = InvocationRec(
         c._fresh("p"), node, constructed_vars, destructed_vars
     )
-    c.invocations[node] = inv
 
-    if result.matched or kind_branches:
+    if matched or kind_branches:
         c.token_at = target
     else:
         c.token_attached = False
@@ -540,14 +540,14 @@ def step(c: Configuration) -> Configuration:
         TraceStep(
             c.steps_taken,
             node,
-            "matched" if result.matched else "failed",
+            "matched" if matched else "failed",
             match_by_name,
-            result.constructed if result.matched else [],
-            result.destructed if result.matched else [],
+            constructed,
+            destructed,
             events,
             c.model_rev,
             rule=pattern.rule.name,
-            edges=dict(result.match.edge_map) if result.matched else {},
+            edges=dict(match.edge_map) if matched else {},
         )
     )
     return c
@@ -564,41 +564,34 @@ def run(c: Configuration, max_steps: int = 10000) -> tuple[Configuration, Trace]
     return c, Trace(c.trace)
 
 
-def replay(
-    d: StoryDiagram, model: TypedGraph, trace: Trace
-) -> Iterator[tuple[TraceStep, TypedGraph]]:
-    """Re-apply the recorded steps to the model, yielding each step with
-    the model after it. A matched step must record the diagram's rule at
-    its node and a total injective match that no NAC forbids."""
-    g = model
+def replay(c: Configuration, trace: Trace) -> Iterator[tuple[TraceStep, TypedGraph]]:
+    """Re-run the recorded steps from the freshly initialized `c`,
+    yielding each step with the model after it.
+
+    Each record must sit where the token is, and `step`, given the
+    record's match as its choice, must append the record itself: the
+    same token path, pins, scope events, bindings, rule and model
+    revision. `c` is stepped in place.
+    """
     for ts in trace.steps:
-        if ts.outcome == "matched":
-            try:
-                pattern = d.pattern_at(ts.node)
-                rule = pattern.rule
-                if ts.rule != rule.name:
-                    raise GraphError(f"recorded rule {ts.rule!r} is not {rule.name!r}")
-                nodes = {l: ts.match[name] for l, name in pattern.lhs_names.items()}
-                morphism = PartialMorphism(rule.lhs, g, nodes, ts.edges)
-                if not (morphism.is_total() and morphism.is_injective()):
-                    raise GraphError("recorded images are not total and injective")
-                match = Match(rule, morphism)
-                if not all(check_nac(nac, match) for nac in rule.nacs):
-                    raise GraphError("a NAC forbids the recorded match")
-            except (KeyError, GraphError) as exc:
-                raise GraphError(
-                    f"trace replay: recorded match at step {ts.step} "
-                    f"(node {ts.node!r}) no longer applies: {exc}"
-                ) from exc
-            g = apply_rule(rule, match, g).result
-        yield ts, g
+        try:
+            if c.status == RUNNING and ts.node != c.token_at:
+                raise GraphError(f"the token is at {c.token_at!r}")
+            step(c, ts)
+            got, want = c.trace[-1].to_record(), ts.to_record()
+            if got != want:
+                k = next(f for f in got if got[f] != want[f])
+                raise GraphError(f"the step gives {k} {got[k]!r}, not {want[k]!r}")
+        except GraphError as exc:
+            raise GraphError(
+                f"trace replay: recorded match at step {ts.step} "
+                f"(node {ts.node!r}) no longer applies: {exc}"
+            ) from exc
+        yield ts, c.model
 
 
-def replay_trace(
-    d: StoryDiagram, initial_model: TypedGraph, trace: Trace
-) -> TypedGraph:
-    """Re-apply the trace's recorded matches to the initial model."""
-    g = initial_model
-    for _, g in replay(d, initial_model, trace):
+def replay_trace(c: Configuration, trace: Trace) -> TypedGraph:
+    """Re-run the trace from the freshly initialized `c`; the final model."""
+    for _ in replay(c, trace):
         pass
-    return g
+    return c.model

@@ -231,7 +231,8 @@ def test_criterion_4_delete_next_object(capsys, tmp_path):
 
         model = _model(f"list{length}.model.json", d.tg)
         replayed = replay_trace(
-            d, model, Trace.from_jsonl(trace_path.read_text(encoding="utf-8"))
+            initialize(d, model, "o1"),
+            Trace.from_jsonl(trace_path.read_text(encoding="utf-8")),
         )
         if serialize_graph(replayed) + "\n" != out_path.read_text(
             encoding="utf-8"
@@ -239,7 +240,8 @@ def test_criterion_4_delete_next_object(capsys, tmp_path):
             problems.append(f"len {length}: trace replay diverges")
 
         c, trace = run(initialize(d, model, "o1"))
-        if replay_trace(d, model, trace).to_dict() != c.model.to_dict():
+        in_memory = replay_trace(initialize(d, model, "o1"), trace)
+        if in_memory.to_dict() != c.model.to_dict():
             problems.append(f"len {length}: in-memory replay diverges")
         if serialize_graph(c.model) + "\n" != out_path.read_text(
             encoding="utf-8"
@@ -412,14 +414,14 @@ def test_criterion_8_oracle_agreement(capsys):
         d = _diagram(diagram_name)
         model = _model(model_name, d.tg)
         c, trace = run(initialize(d, model, this))
-        v = cross_check(d, model, trace)
+        v = cross_check(initialize(d, model, this), trace)
         if not (v.ok and v.pair_checked and v.pair_found):
             problems.append(f"{diagram_name}+{model_name}: {v.notes}")
 
     d = _diagram("two_node_seq.diagram.json")
     model = _model("single.model.json", d.tg)
     c, trace = run(initialize(d, model, "o1"))
-    v = cross_check(d, model, trace)
+    v = cross_check(initialize(d, model, "o1"), trace)
     if not (v.ok and len(v.divergences) == 1 and not v.pair_checked):
         problems.append(f"sequential failure misreported: {v}")
     _report(

@@ -7,7 +7,9 @@ import json
 import pytest
 
 import sdm.canon
+import sdm.cli
 from sdm.cli import main
+from sdm.interp import Trace
 
 from .builders import FIXTURES
 
@@ -373,6 +375,23 @@ def test_oracle_handles_a_terminating_loop(capsys):
     code, out, _ = run_cli(capsys, "oracle", STAR, STAR5, "--this", "o0")
     assert code == 0
     assert "pair is in the composed semantics" in out
+
+
+def test_oracle_reports_a_run_that_its_own_trace_contradicts(capsys, monkeypatch):
+    real_run = sdm.cli.run
+
+    def run_dropping_step_2(c, max_steps):
+        c, trace = real_run(c, max_steps=max_steps)
+        return c, Trace(trace.steps[:1] + trace.steps[2:])
+
+    monkeypatch.setattr(sdm.cli, "run", run_dropping_step_2)
+    code, out, err = run_cli(capsys, "oracle", STAR, STAR5, "--this", "o0")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "undocumented disagreement: trace replay: recorded match at step 3 "
+        "(node 'head') no longer applies: the token is at 'body'\n"
+    )
 
 
 def test_oracle_refuses_an_oversized_model(capsys, tmp_path):

@@ -347,7 +347,7 @@ def test_cross_check_accepts_the_minimal_run():
     d, model, _, trace = run_fixture(
         "minimal.diagram.json", "single.model.json", "o1"
     )
-    v = cross_check(d, model, trace)
+    v = cross_check(initialize(d, model, "o1"), trace)
     assert v.ok and v.pair_checked and v.pair_found
     assert v.divergences == []
 
@@ -356,7 +356,7 @@ def test_cross_check_accepts_an_all_success_branching_run():
     d, model, _, trace = run_fixture(
         "delete_next_object.diagram.json", "list3.model.json", "o1"
     )
-    v = cross_check(d, model, trace)
+    v = cross_check(initialize(d, model, "o1"), trace)
     assert v.ok and v.pair_found
     assert v.sem_size >= 1
 
@@ -366,7 +366,7 @@ def test_cross_check_documents_a_sequential_failure():
         "two_node_seq.diagram.json", "single.model.json", "o1"
     )
     assert c.status == "error"
-    v = cross_check(d, model, trace)
+    v = cross_check(initialize(d, model, "o1"), trace)
     assert v.ok
     assert len(v.divergences) == 1
     assert "sequential pattern failed at 'second'" in v.divergences[0]
@@ -425,7 +425,7 @@ def test_cross_check_documents_a_binding_sensitive_branch(list_tg):
     assert c.status == "terminated"
     cond_step = next(t for t in trace.steps if t.node == "cond")
     assert cond_step.outcome == "failed"
-    v = cross_check(d, model, trace)
+    v = cross_check(initialize(d, model, "o1"), trace)
     assert v.ok
     assert len(v.divergences) == 1
     assert "pinned" in v.divergences[0]
@@ -435,8 +435,20 @@ def test_cross_check_flags_a_tampered_trace():
     d, model, _, trace = run_fixture(
         "delete_next_object.diagram.json", "list3.model.json", "o1"
     )
+    assert [t.node for t in trace.steps] == ["hasTwo", "unlink", "stopA"]
     forged = Trace([t for t in trace.steps if t.node != "unlink"])
-    v = cross_check(d, model, forged)
+    with pytest.raises(
+        GraphError, match="at step 3 .* no longer applies: the token is at 'unlink'"
+    ):
+        cross_check(initialize(d, model, "o1"), forged)
+
+
+def test_cross_check_flags_a_pair_missing_from_the_semantics(monkeypatch):
+    d, model, _, trace = run_fixture(
+        "delete_next_object.diagram.json", "list3.model.json", "o1"
+    )
+    monkeypatch.setattr(sdm.denot, "evaluate", lambda expr, g, depth: SemSet())
+    v = cross_check(initialize(d, model, "o1"), trace)
     assert not v.ok
     assert v.pair_checked and v.pair_found is False
     assert "missing" in v.notes[0]
@@ -446,7 +458,7 @@ def test_cross_check_notes_an_unfinished_run():
     d = load_diagram("while_star.diagram.json")
     model = load_model("star5.model.json", d.tg)
     c, trace = run(initialize(d, model, "o0"), max_steps=3)
-    v = cross_check(d, model, trace)
+    v = cross_check(initialize(d, model, "o0"), trace)
     assert v.ok and not v.pair_checked
     assert any("did not terminate" in n for n in v.notes)
 
@@ -456,6 +468,6 @@ def test_cross_check_refuses_oversized_models(list_tg):
     model = make_list(list_tg, 7)
     c, trace = run(initialize(d, model, "o1"))
     with pytest.raises(OracleError, match="bound"):
-        cross_check(d, model, trace)
+        cross_check(initialize(d, model, "o1"), trace)
     # a raised bound lets the same instance through
-    assert cross_check(d, model, trace, model_bound=8).ok
+    assert cross_check(initialize(d, model, "o1"), trace, model_bound=8).ok

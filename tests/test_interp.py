@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sdm.interp
 from sdm.cli import main
@@ -410,9 +413,11 @@ def test_replay_reproduces_the_final_model():
         d = load_diagram(diagram_name)
         model = load_model(model_name, d.tg)
         c, trace = run(initialize(d, model, this))
-        replayed = replay_trace(d, model, trace)
+        replayed = replay_trace(initialize(d, model, this), trace)
         assert replayed.to_dict() == c.model.to_dict(), diagram_name
-        from_file = replay_trace(d, model, Trace.from_jsonl(trace.to_jsonl()))
+        from_file = replay_trace(
+            initialize(d, model, this), Trace.from_jsonl(trace.to_jsonl())
+        )
         assert from_file.to_dict() == c.model.to_dict(), diagram_name
 
 
@@ -421,7 +426,10 @@ def test_file_replay_covers_random_order_runs(while_star):
     c, trace = run(
         initialize(while_star, model, "o0", match_order="random", seed=11)
     )
-    replayed = replay_trace(while_star, model, Trace.from_jsonl(trace.to_jsonl()))
+    replayed = replay_trace(
+        initialize(while_star, model, "o0", match_order="random", seed=11),
+        Trace.from_jsonl(trace.to_jsonl()),
+    )
     assert replayed.to_dict() == c.model.to_dict()
 
 
@@ -431,7 +439,7 @@ def test_file_replay_rejects_a_trace_for_the_wrong_model(minimal):
     _, trace = run(initialize(d, model, "o1"))
     other = load_model("single.model.json", d.tg)
     with pytest.raises(GraphError, match="no longer applies"):
-        replay_trace(d, other, Trace.from_jsonl(trace.to_jsonl()))
+        replay_trace(initialize(d, other, "o1"), Trace.from_jsonl(trace.to_jsonl()))
 
 
 def test_trace_records_have_the_documented_fields(dno):
@@ -491,7 +499,8 @@ def test_file_replay_follows_the_recorded_parallel_edge(while_star):
             c = initialize(while_star, model, "o0", match_order="random", seed=seed)
             c, trace = run(c, max_steps=budget)
             replayed = replay_trace(
-                while_star, model, Trace.from_jsonl(trace.to_jsonl())
+                initialize(while_star, model, "o0", match_order="random", seed=seed),
+                Trace.from_jsonl(trace.to_jsonl()),
             )
             assert replayed.to_dict() == c.model.to_dict(), (seed, budget)
 
@@ -561,9 +570,9 @@ def test_replay_rejects_a_record_that_is_not_a_match(while_star, doctor):
     doctor(head)
     doctored = Trace.from_jsonl("".join(json.dumps(r) + "\n" for r in records))
     with pytest.raises(GraphError, match="at step 1 .* no longer applies"):
-        replay_trace(while_star, model, doctored)
+        replay_trace(initialize(while_star, model, "o0"), doctored)
     with pytest.raises(GraphError, match="at step 1 .* no longer applies"):
-        cross_check(while_star, model, doctored)
+        cross_check(initialize(while_star, model, "o0"), doctored)
 
 
 def test_replay_rejects_a_match_that_a_nac_forbids(tmp_path):
@@ -575,11 +584,122 @@ def test_replay_rejects_a_match_that_a_nac_forbids(tmp_path):
     d = load_story_diagram(path)
     model = load_model("star5.model.json", d.tg)
     _, trace = run(initialize(d, model, "o0"))
-    assert replay_trace(d, model, trace).to_dict()  # no back edge: it applies
+    assert replay_trace(initialize(d, model, "o0"), trace).to_dict()  # no back edge
     doc = model.to_dict()
     doc["edges"].append({"id": "back", "type": "next", "src": "o1", "trg": "o0"})
     with pytest.raises(GraphError, match="at step 1 .* no longer applies"):
-        replay_trace(d, graph_from_dict(doc, d.tg), trace)
+        replay_trace(initialize(d, graph_from_dict(doc, d.tg), "o0"), trace)
+
+
+def _tamper_star5_trace(text: str) -> str:
+    """Step 2 cuts spoke o2 while x is bound to o1; steps 3-4 take o1."""
+    records = [json.loads(line) for line in text.splitlines()]
+    assert [r["edges"] for r in records[:4]] == [{"e1": f"n{k}"} for k in (1, 1, 2, 2)]
+    for record, spoke in zip(records[1:4], (2, 1, 1)):
+        record["match"] = [
+            {"var": "this", "model_node": "o0"},
+            {"var": "x", "model_node": f"o{spoke}"},
+        ]
+        record["edges"] = {"e1": f"n{spoke}"}
+    return "".join(json.dumps(r) + "\n" for r in records)
+
+
+def test_replay_rejects_a_record_that_rebinds_a_pinned_variable(while_star):
+    model = load_model("star5.model.json", while_star.tg)
+    _, trace = run(initialize(while_star, model, "o0"))
+    tampered = Trace.from_jsonl(_tamper_star5_trace(trace.to_jsonl()))
+    expected = (
+        r"at step 2 \(node 'body'\) no longer applies: "
+        r"variable 'x' is bound to 'o1', the record has 'o2'"
+    )
+    with pytest.raises(GraphError, match=expected):
+        replay_trace(initialize(while_star, model, "o0"), tampered)
+    with pytest.raises(GraphError, match=expected):
+        cross_check(initialize(while_star, model, "o0"), tampered)
+
+
+@functools.cache
+def _fixture_runs() -> list[tuple]:
+    """(diagram, model, this, initialize options, trace text, final model)
+    for every fixture run, both strategies, lex and random order."""
+    runs = []
+    for diagram_name in FIXTURE_DIAGRAMS:
+        d = load_diagram(diagram_name)
+        for model_name in FIXTURE_MODELS:
+            model = load_model(model_name, d.tg)
+            for this in sorted(model.nodes):
+                for strategy in (CONSERVATIVE, OPTIMISTIC):
+                    for order in ({}, {"match_order": "random", "seed": 7}):
+                        kw = {"strategy": strategy, **order}
+                        c, trace = run(initialize(d, model, this, **kw), max_steps=200)
+                        runs.append((d, model, this, kw, trace.to_jsonl(), c))
+    return runs
+
+
+def test_every_fixture_trace_replays_to_its_run():
+    for d, model, this, kw, text, c in _fixture_runs():
+        replayed = initialize(d, model, this, **kw)
+        replay_trace(replayed, Trace.from_jsonl(text))
+        assert replayed.trace == c.trace
+        # the trace does not record a step budget: its replay is still running
+        status = RUNNING if c.status == NONTERMINATING else c.status
+        assert (replayed.status, replayed.token_at) == (status, c.token_at)
+        assert replayed.model.to_dict() == c.model.to_dict()
+
+
+def _edit(draw, records: list[dict], cfg_nodes: list[str]) -> None:
+    """Apply one edit to the records in place, or none where it has no target.
+
+    A swap of two images never gives another match of a fixture pattern:
+    each such pair has a binding or an edge, whose recorded image then
+    no longer fits. Moving an image can, when the pattern has an isolated
+    unbound node (`rematch-partner` in `join_policy`), so it is no edit here.
+    """
+    kind = draw(st.sampled_from(["image", "drop", "node", "outcome", "scope_event"]))
+    targets = {
+        "image": [r for r in records if len(r["match"]) > 1],
+        "drop": records[:-1],  # not the last: a prefix is the record of a shorter run
+        "scope_event": [r for r in records if r["scope_events"]],
+    }.get(kind, records)
+    if not targets:
+        return
+    record = targets[draw(st.integers(0, len(targets) - 1))]
+    if kind == "image":
+        first, second = draw(st.permutations(record["match"]))[:2]
+        first["model_node"], second["model_node"] = (
+            second["model_node"],
+            first["model_node"],
+        )
+    elif kind == "drop":
+        records.remove(record)
+    elif kind == "node":
+        record["node"] = draw(st.sampled_from(cfg_nodes))
+    elif kind == "outcome":
+        flipped = {"matched": "failed", "failed": "matched", "terminated": "failed"}
+        record["outcome"] = flipped[record["outcome"]]
+    else:
+        event = draw(st.sampled_from(record["scope_events"]))
+        field = draw(st.sampled_from(sorted(event)))
+        event[field] = {"event": "exit", "scope": "s0", "template": "root"}.get(
+            field, ["this"]
+        )
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_replay_rejects_every_edit_that_changes_a_trace(data):
+    runs = _fixture_runs()
+    d, model, this, kw, text, c = runs[data.draw(st.integers(0, len(runs) - 1))]
+    records = [json.loads(line) for line in text.splitlines()]
+    _edit(data.draw, records, sorted(d.cfg.nodes))
+    edited = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+    replayed = initialize(d, model, this, **kw)
+    if edited == text:
+        assert replay_trace(replayed, Trace.from_jsonl(edited)) is replayed.model
+        assert replayed.trace == c.trace
+    else:
+        with pytest.raises(GraphError, match="no longer applies"):
+            replay_trace(replayed, Trace.from_jsonl(edited))
 
 
 def test_model_rev_counts_rewrites_only(while_star):
