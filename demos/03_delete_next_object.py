@@ -8,13 +8,13 @@ Run from the repository root:  python3 demos/03_delete_next_object.py
 
 from pathlib import Path
 
-from sdm import analyze_scopes, initialize, load_story_diagram, parse_graph, run
+from sdm import initialize, load_story_diagram, parse_graph, run
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 d = load_story_diagram(FIXTURES / "delete_next_object.diagram.json")
 print(f"control flow nodes: {sorted(d.cfg.nodes)}")
-print(f"scope templates: {sorted(analyze_scopes(d).templates)}")
+print(f"scope templates: {sorted(d.scopes.templates)}")
 
 for length in (1, 2, 3, 5):
     model = parse_graph(

@@ -155,7 +155,10 @@ def _compose(left: SemSet, expr: DenotExpr, depth: int) -> SemSet:
 
 
 def evaluate(expr: DenotExpr, g: TypedGraph, depth: int = DEFAULT_UNROLL_DEPTH) -> SemSet:
-    """The pair set of expr on input g, unrolling loops at most depth times."""
+    """The pair set of expr on input g, unrolling loops at most depth
+    times; a loop cut off at that bound marks the set incomplete."""
+    if depth < 0:
+        raise GraphError("depth must be nonnegative")
     if isinstance(expr, NodeExpr):
         return sem_node(expr.rule, g)
     if isinstance(expr, SeqExpr):
@@ -202,22 +205,6 @@ def sem_node(r: Rule, g: TypedGraph) -> SemSet:
     for m in orbits.values():
         out.add(g, apply_rule(r, m, g).result)
     return out
-
-
-def sem_seq(rules: list[Rule], g: TypedGraph) -> SemSet:
-    if not rules:
-        raise GraphError("sem_seq needs a nonempty chain")
-    return evaluate(SeqExpr([NodeExpr(r) for r in rules]), g)
-
-
-def sem_if(r1: Rule, r2: Rule, r3: Rule, g: TypedGraph) -> SemSet:
-    return evaluate(IfExpr(r1, NodeExpr(r2), NodeExpr(r3)), g)
-
-
-def sem_while(r1: Rule, r2: Rule, g: TypedGraph, depth_bound: int) -> SemSet:
-    if depth_bound < 0:
-        raise GraphError("depth_bound must be nonnegative")
-    return evaluate(WhileExpr(r1, NodeExpr(r2)), g, depth_bound)
 
 
 # -- cross-checking the step interpreter -------------------------------------

@@ -21,6 +21,7 @@ from .graph import (
     GraphError,
     TypedGraph,
     TypeGraph,
+    ValidationReport,
     _check_names,
     graph_from_dict,
 )
@@ -29,14 +30,10 @@ from .syntax import (
     CF_NODE,
     FAILURE,
     NEXT,
-    START_NODE,
-    STOP_NODE,
     SUCCESS,
     CfgValidation,
     NodeClassification,
-    branch_targets,
     classify_nodes,
-    next_target,
     validate_control_flow,
 )
 
@@ -113,12 +110,19 @@ class StoryPattern:
 
 @dataclass(slots=True)
 class StoryDiagram:
+    """A diagram's parts and its scope tree, built once from them by
+    `analyze_scopes`."""
+
     tg: TypeGraph  # the model type graph the patterns transform
     cfg: TypedGraph
     patterns: dict[str, StoryPattern]
     params: list[tuple[str, str]]  # ordered (name, model type)
     validation: CfgValidation
     classification: NodeClassification
+    scopes: ScopeTree = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.scopes = analyze_scopes(self)
 
     def pattern_at(self, node: str) -> StoryPattern:
         return self.patterns[node]
@@ -275,13 +279,7 @@ def analyze_scopes(d: StoryDiagram) -> ScopeTree:
     return tree
 
 
-@dataclass(slots=True)
-class BindingReport:
-    ok: bool
-    violations: list[str] = field(default_factory=list)
-
-
-def validate_binding_marks(d: StoryDiagram, tree: ScopeTree) -> BindingReport:
+def validate_binding_marks(d: StoryDiagram) -> ValidationReport:
     """Check every bound mark against a must-be-bound, all-paths dataflow.
 
     A name counts as bound at a node only if every control-flow path
@@ -290,8 +288,7 @@ def validate_binding_marks(d: StoryDiagram, tree: ScopeTree) -> BindingReport:
     leaves the branch, exactly as the conservative runtime policy
     removes them.
     """
-    cfg = d.cfg
-    cls = d.classification
+    cfg, cls, tree = d.cfg, d.classification, d.scopes
     universe = frozenset(
         name for p in d.patterns.values() for name in p.var_types()
     ) | frozenset(name for name, _ in d.params)
@@ -346,7 +343,7 @@ def validate_binding_marks(d: StoryDiagram, tree: ScopeTree) -> BindingReport:
                     f"node {n!r}: variable {name!r} is marked bound but has no "
                     "binding on every path reaching it"
                 )
-    return BindingReport(not violations, violations)
+    return ValidationReport(not violations, violations)
 
 
 def _patterns_from_entries(
@@ -441,8 +438,7 @@ def diagram_from_dict(data: dict) -> StoryDiagram:
         raise DiagramError(f"story nodes without patterns: {sorted(missing)}")
 
     diagram = StoryDiagram(tg, cfg, patterns, params, verdict, classification)
-    tree = analyze_scopes(diagram)
-    report = validate_binding_marks(diagram, tree)
+    report = validate_binding_marks(diagram)
     if not report.ok:
         raise DiagramError("; ".join(report.violations))
     return diagram

@@ -99,19 +99,6 @@ class TypeGraph:
     def __repr__(self) -> str:
         return f"TypeGraph({self.name!r}, {len(self.node_types)} node types)"
 
-    def to_dict(self) -> dict:
-        node_types = []
-        for name in sorted(self.node_types):
-            entry: dict = {"name": name}
-            if self.node_types[name] is not None:
-                entry["parent"] = self.node_types[name]
-            node_types.append(entry)
-        edge_types = [
-            {"name": name, "src": et.src, "trg": et.trg}
-            for name, et in sorted(self.edge_types.items())
-        ]
-        return {"name": self.name, "node_types": node_types, "edge_types": edge_types}
-
     @classmethod
     def from_dict(cls, data: dict) -> "TypeGraph":
         try:
@@ -788,15 +775,3 @@ def graph_from_dict(data: dict, tg: TypeGraph) -> TypedGraph:
     if not report.ok:
         raise FormatError("; ".join(report.violations))
     return g
-
-
-def serialize_type_graph(tg: TypeGraph) -> str:
-    return json.dumps(tg.to_dict(), indent=2, sort_keys=True)
-
-
-def parse_type_graph(text: str) -> TypeGraph:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {exc}") from exc
-    return TypeGraph.from_dict(data)

@@ -16,14 +16,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .diagram import (
-    ROOT_SCOPE,
-    CFVariable,
-    ScopeTree,
-    StoryDiagram,
-    StoryPattern,
-    analyze_scopes,
-)
+from .diagram import ROOT_SCOPE, CFVariable, StoryDiagram, StoryPattern
 from .graph import (
     Edge,
     EdgeType,
@@ -189,13 +182,12 @@ class Configuration:
     def __init__(
         self,
         diagram: StoryDiagram,
-        scopes: ScopeTree,
         model: TypedGraph,
         strategy: str,
         rng: Optional[random.Random],  # None under lex match order
     ):
         self.diagram = diagram
-        self.scopes = scopes
+        self.scopes = diagram.scopes
         self.model = model
         self.strategy = strategy
         self.rng = rng
@@ -280,13 +272,6 @@ class Configuration:
         self.current = exited.parent
 
     # -- views -------------------------------------------------------------
-
-    def bindings_in_scope(self) -> dict[str, str]:
-        """Variable name to model node id in the current instance."""
-        return {
-            name: self.model_of(rec)
-            for name, rec in self.current_instance().bindings.items()
-        }
 
     def state_graph(self) -> TypedGraph:
         """Materialize the execution state as a typed graph.
@@ -377,9 +362,8 @@ def initialize(
             f"this node {this_node!r} has type {model.nodes[this_node]!r}, "
             f"expected {this_type!r}"
         )
-    scopes = analyze_scopes(d)
     rng = random.Random(seed) if match_order == "random" else None
-    c = Configuration(d, scopes, model, strategy, rng)
+    c = Configuration(d, model, strategy, rng)
     root = c._new_instance(ROOT_SCOPE, None)
     c.current = root.id
     c._bind(root, name, this_node)

@@ -9,7 +9,6 @@ enumerated in lexicographic order so every consumer is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 from .graph import (
@@ -24,7 +23,6 @@ from .graph import (
     _enumerate_monos,
     graph_from_dict,
     iso_signature,
-    validate_typing,
 )
 
 
@@ -84,7 +82,7 @@ class Rule:
         self._created_nodes = tuple(n for n in rhs.node_ids() if n not in node_image)
         edge_image = set(mapping.edge_map.values())
         self._created_edges = tuple(
-            (e, rhs.edges[e]) for e in rhs.edge_ids() if e not in edge_image
+            rhs.edges[e] for e in rhs.edge_ids() if e not in edge_image
         )
 
     def deleted_lhs_nodes(self) -> list[str]:
@@ -99,30 +97,25 @@ class Rule:
 
 @dataclass(slots=True)
 class Match:
-    """A total injective occurrence of a rule's lhs in a host graph."""
+    """A total injective occurrence of a rule's lhs in `host`, as plain
+    maps. The matcher that found it guarantees typing and structure, so
+    nothing checks them again."""
 
     rule: Rule
-    morphism: PartialMorphism  # total injective lhs -> host
-
-    @property
-    def node_map(self) -> dict[str, str]:
-        return self.morphism.node_map
-
-    @property
-    def edge_map(self) -> dict[str, str]:
-        return self.morphism.edge_map
+    node_map: dict[str, str]  # lhs node -> host node
+    edge_map: dict[str, str]  # lhs edge -> host edge
+    host: TypedGraph
 
 
 @dataclass(slots=True)
 class ApplyResult:
-    """Outcome of one rule application."""
+    """Outcome of one rule application. Survivors keep their ids, so the
+    host's ids outside `deleted` are exactly its ids left in `result`."""
 
     result: TypedGraph
-    comorphism: PartialMorphism  # host -> result, identity on survivors
     created: set[str]
     deleted: set[str]
     rhs_node_map: dict[str, str]  # rhs -> result (the derived match m')
-    rhs_edge_map: dict[str, str]
 
 
 class GraphGrammar:
@@ -141,12 +134,8 @@ class LanguageResult:
     """Graphs reachable within a node bound, up to isomorphism."""
 
     graphs: list[TypedGraph]
-    max_nodes: int
     members: IsoSet
     warnings: list[str] = field(default_factory=list)
-
-    def contains(self, g: TypedGraph) -> bool:
-        return g in self.members
 
 
 def check_nac(nac: NAC, match: Match) -> bool:
@@ -155,7 +144,7 @@ def check_nac(nac: NAC, match: Match) -> bool:
     A witness is an injective morphism q from the NAC graph into the host
     agreeing with the match on the embedded lhs.
     """
-    host = match.morphism.dst
+    host = match.host
     forced_nodes = {nac.embedding.node_map[l]: n for l, n in match.node_map.items()}
     forced_edges = {nac.embedding.edge_map[l]: e for l, e in match.edge_map.items()}
     for _ in _enumerate_monos(nac.graph, host, forced_nodes, forced_edges):
@@ -169,7 +158,8 @@ def find_matches(
     partial: Optional[dict[str, str]] = None,
     first: bool = False,
 ) -> list[Match]:
-    """All NAC-respecting total injective matches, lexicographically ordered.
+    """All NAC-respecting total injective matches, lexicographically
+    ordered, each as the maps the matcher found.
 
     `partial` pins lhs nodes to host nodes ahead of the search; it must
     be injective and type-consistent. With `first`, the search stops at
@@ -194,29 +184,12 @@ def find_matches(
     # no sort and its head is the first NAC-respecting occurrence
     matches = []
     for node_map, edge_map in _enumerate_monos(rule.lhs, host, partial):
-        morphism = PartialMorphism(rule.lhs, host, node_map, edge_map)
-        match = Match(rule, morphism)
+        match = Match(rule, node_map, edge_map, host)
         if all(check_nac(nac, match) for nac in rule.nacs):
             matches.append(match)
             if first:
                 break
     return matches
-
-
-class _Survivors(PartialMorphism):
-    """Identity on what survives an application; a morphism by
-    construction, unchecked, whose maps are built when first read."""
-
-    def __init__(self, src: TypedGraph, dst: TypedGraph, deleted: frozenset) -> None:
-        self.src, self.dst, self._deleted = src, dst, deleted
-
-    @cached_property
-    def node_map(self) -> dict[str, str]:
-        return {n: n for n in self.src.nodes if n not in self._deleted}
-
-    @cached_property
-    def edge_map(self) -> dict[str, str]:
-        return {e: e for e in self.src.edges if e not in self._deleted}
 
 
 def apply_rule(rule: Rule, match: Match, host: TypedGraph) -> ApplyResult:
@@ -231,7 +204,7 @@ def apply_rule(rule: Rule, match: Match, host: TypedGraph) -> ApplyResult:
     """
     if match.rule is not rule:
         raise GraphError("match was produced for a different rule")
-    if match.morphism.dst is not host:
+    if match.host is not host:
         raise StaleMatchError("host changed since the match was found")
 
     deleted_nodes = {match.node_map[n] for n in rule._deleted_nodes}
@@ -247,12 +220,10 @@ def apply_rule(rule: Rule, match: Match, host: TypedGraph) -> ApplyResult:
         n_mark += 1
         rhs_node_map[rn] = f"n#{n_mark}"
         new_nodes[rhs_node_map[rn]] = rule.rhs.nodes[rn]
-    rhs_edge_map = {r: match.edge_map[l] for l, r in rule.mapping.edge_map.items()}
     new_edges: dict[str, Edge] = {}
-    for reid, redge in rule._created_edges:
+    for redge in rule._created_edges:
         e_mark += 1
-        rhs_edge_map[reid] = f"e#{e_mark}"
-        new_edges[rhs_edge_map[reid]] = Edge(
+        new_edges[f"e#{e_mark}"] = Edge(
             redge.type, rhs_node_map[redge.src], rhs_node_map[redge.trg]
         )
 
@@ -264,11 +235,9 @@ def apply_rule(rule: Rule, match: Match, host: TypedGraph) -> ApplyResult:
         result = TypedGraph._derive(host, deleted, new_nodes, new_edges, marks)
     return ApplyResult(
         result=result,
-        comorphism=_Survivors(host, result, frozenset(deleted)),
         created=set(new_nodes) | set(new_edges),
         deleted=deleted,
         rhs_node_map=rhs_node_map,
-        rhs_edge_map=rhs_edge_map,
     )
 
 
@@ -318,7 +287,7 @@ def enumerate_language(grammar: GraphGrammar, max_nodes: int) -> LanguageResult:
                     if side not in found:
                         found[side] = list(_enumerate_monos(sides[side], g, {}))
                     matches = [
-                        Match(rule, PartialMorphism(rule.lhs, g, node_map, edge_map))
+                        Match(rule, node_map, edge_map, g)
                         for node_map, edge_map in found[side]
                     ]
                 for match in matches:
@@ -329,7 +298,7 @@ def enumerate_language(grammar: GraphGrammar, max_nodes: int) -> LanguageResult:
     # signatures lead with the node and edge counts; members sharing one
     # share a bucket, so the stable sort keeps them in insertion order
     graphs = sorted(members, key=iso_signature)
-    return LanguageResult(graphs, max_nodes, members, warnings)
+    return LanguageResult(graphs, members, warnings)
 
 
 def rule_to_dict(rule: Rule) -> dict:

@@ -33,8 +33,6 @@ from .graph import (
 from .rewrite import (
     GraphGrammar,
     Rule,
-    apply_rule,
-    find_matches,
     rule_to_dict,
 )
 
@@ -430,31 +428,6 @@ def validate_control_flow(g: TypedGraph) -> CfgValidation:
         return CfgValidation(False, "not reducible to the start graph")
     base, steps = found
     return CfgValidation(True, derivation=steps, base=base)
-
-
-def replay_derivation(validation: CfgValidation) -> TypedGraph:
-    """Re-run a derivation witness forward from its embedded base graph.
-
-    Re-application mints fresh node ids, so step anchors recorded against
-    the validated graph are translated through the created-node images as
-    the replay goes.
-    """
-    if not validation.ok or validation.base is None:
-        raise GraphError("cannot replay an invalid derivation")
-    by_name = {r.name: r for r in syntax_rules()}
-    g = validation.base
-    rename = {n: n for n in g.nodes}
-    for step in validation.derivation:
-        rule = by_name[step.rule]
-        anchors = {"a": rename[step.a], "b": rename[step.b]}
-        matches = find_matches(rule, g, partial=anchors, first=True)
-        if not matches:
-            raise GraphError(f"derivation step {step} does not apply")
-        out = apply_rule(rule, matches[0], g)
-        g = out.result
-        for rhs_id, original in step.created.items():
-            rename[original] = out.rhs_node_map[rhs_id]
-    return g
 
 
 @dataclass(slots=True)

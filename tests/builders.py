@@ -10,13 +10,9 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
-from sdm.diagram import (
-    StoryDiagram,
-    StoryPattern,
-    analyze_scopes,
-    validate_binding_marks,
-)
+from sdm.diagram import StoryDiagram, StoryPattern, validate_binding_marks
 from sdm.graph import Edge, GraphBuilder, PartialMorphism, TypedGraph, TypeGraph
+from sdm.interp import Configuration
 from sdm.rewrite import Rule
 from sdm.syntax import SYNTAX_TYPE_GRAPH, classify_nodes, validate_control_flow
 
@@ -85,9 +81,14 @@ def story_diagram(
         verdict,
         classify_nodes(cfg, verdict),
     )
-    report = validate_binding_marks(d, analyze_scopes(d))
+    report = validate_binding_marks(d)
     assert report.ok, report.violations
     return d
+
+
+def bindings_in_scope(c: Configuration) -> dict[str, str]:
+    """Variable name to model node id in the current scope instance."""
+    return {name: c.model_of(rec) for name, rec in c.current_instance().bindings.items()}
 
 
 def ll_noop(tg: TypeGraph) -> StoryPattern:

@@ -19,6 +19,9 @@ classification that finds loops and joins by dominator analysis instead
 of reading them off the derivation witness, and a rule's pair set that
 applies every match and deduplicates by brute-force isomorphism instead
 of applying one match per twin orbit.
+
+`replay_derivation` runs a validator's derivation witness forward with
+the package's matcher and rewriting, to check that witnesses replay.
 """
 
 from __future__ import annotations
@@ -326,7 +329,9 @@ def reference_matches(
 
     matches = []
     for node_map, edge_map in _reference_monos(rule.lhs, host, partial):
-        match = Match(rule, PartialMorphism(rule.lhs, host, node_map, edge_map))
+        # re-checks the typing, domain and commutation the matcher promises
+        PartialMorphism(rule.lhs, host, node_map, edge_map)
+        match = Match(rule, node_map, edge_map, host)
         if all(nac_ok(nac, match) for nac in rule.nacs):
             matches.append(match)
     lhs_nodes = rule.lhs.node_ids()
@@ -436,6 +441,31 @@ def reference_validate_control_flow(g: TypedGraph) -> CfgValidation:
     return CfgValidation(True, derivation=steps, base=base)
 
 
+def replay_derivation(validation: CfgValidation) -> TypedGraph:
+    """Re-run a derivation witness forward from its embedded base graph.
+
+    Re-application mints fresh node ids, so step anchors recorded against
+    the validated graph are translated through the created-node images as
+    the replay goes.
+    """
+    if not validation.ok or validation.base is None:
+        raise GraphError("cannot replay an invalid derivation")
+    by_name = {r.name: r for r in syntax_rules()}
+    g = validation.base
+    rename = {n: n for n in g.nodes}
+    for step in validation.derivation:
+        rule = by_name[step.rule]
+        anchors = {"a": rename[step.a], "b": rename[step.b]}
+        matches = find_matches(rule, g, partial=anchors, first=True)
+        if not matches:
+            raise GraphError(f"derivation step {step} does not apply")
+        out = apply_rule(rule, matches[0], g)
+        g = out.result
+        for rhs_id, original in step.created.items():
+            rename[original] = out.rhs_node_map[rhs_id]
+    return g
+
+
 def reference_enumerate_language(grammar: GraphGrammar, max_nodes: int) -> LanguageResult:
     """Breadth-first closure that applies every rule at every match and
     only then drops results above the node bound. Graphs are kept once per
@@ -466,7 +496,7 @@ def reference_enumerate_language(grammar: GraphGrammar, max_nodes: int) -> Langu
         frontier = next_frontier
     graphs = [g for bucket in buckets.values() for g in bucket]
     graphs.sort(key=iso_signature)
-    return LanguageResult(graphs, max_nodes, None, warnings)
+    return LanguageResult(graphs, None, warnings)
 
 
 def reference_sem_node(

@@ -39,7 +39,7 @@ from sdm.syntax import (
     validate_control_flow,
 )
 
-from .builders import FIXTURES, seq_cfg
+from .builders import FIXTURES, bindings_in_scope, seq_cfg
 from .conftest import random_graph, zoo_tg
 from .oracles import naive_pushout
 from .test_rewrite import _random_rule
@@ -135,7 +135,7 @@ def test_criterion_1_grammar_sanity(capsys):
     rng = random.Random(20260823)
     for i in range(100):
         mutant = _mutate(rng, language.graphs)
-        member = language.contains(mutant)
+        member = mutant in language.members
         valid = validate_control_flow(mutant).ok
         if member != valid:
             disagreements.append(
@@ -336,7 +336,7 @@ def test_criterion_6_loop_scope_hygiene(capsys):
             for old_inst, _ in iterations:
                 if old_inst in c.instances:
                     problems.append(f"instance {old_inst} survived its pass")
-            iterations.append((c.current, c.bindings_in_scope()["x"]))
+            iterations.append((c.current, bindings_in_scope(c)["x"]))
     if c.status != TERMINATED:
         problems.append(f"run ended {c.status}")
     if len(iterations) != 5:

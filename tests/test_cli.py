@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
 import sdm.canon
 import sdm.cli
+import sdm.diagram
 from sdm.cli import main
 from sdm.interp import Trace
 
@@ -375,6 +377,24 @@ def test_oracle_handles_a_terminating_loop(capsys):
     code, out, _ = run_cli(capsys, "oracle", STAR, STAR5, "--this", "o0")
     assert code == 0
     assert "pair is in the composed semantics" in out
+
+
+def test_oracle_builds_the_scope_tree_once(capsys, monkeypatch):
+    # the tree depends on the diagram alone, so one oracle call, which
+    # initializes a run and its replay, needs it once
+    calls = []
+    original = sdm.diagram.analyze_scopes
+
+    def counted(d):
+        calls.append(d)
+        return original(d)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sdm") and getattr(module, "analyze_scopes", None) is original:
+            monkeypatch.setattr(module, "analyze_scopes", counted)
+    code, _, _ = run_cli(capsys, "oracle", STAR, STAR5, "--this", "o0")
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_oracle_reports_a_run_that_its_own_trace_contradicts(capsys, monkeypatch):

@@ -17,10 +17,7 @@ from sdm.denot import (
     compile_diagram,
     cross_check,
     evaluate,
-    sem_if,
     sem_node,
-    sem_seq,
-    sem_while,
 )
 from sdm.diagram import load_story_diagram
 from sdm.graph import GraphError, PartialMorphism, find_isomorphism, parse_graph
@@ -191,9 +188,18 @@ def test_sem_node_equals_the_unpruned_reference(monkeypatch):
 # -- sequencing, conditionals, loops -----------------------------------------
 
 
+def seq(*rules: Rule) -> SeqExpr:
+    return SeqExpr([NodeExpr(r) for r in rules])
+
+
+def drain_edges(tg) -> WhileExpr:
+    """While an edge exists, delete one."""
+    return WhileExpr(edge_exists_rule(tg), NodeExpr(delete_edge_rule(tg)))
+
+
 def test_sem_seq_chains_compositions(list_tg):
     r = delete_node_rule(list_tg)
-    sem = sem_seq([r, r], isolated(list_tg, 3))
+    sem = evaluate(seq(r, r), isolated(list_tg, 3))
     assert len(sem) == 1
     assert sem.contains(isolated(list_tg, 3), isolated(list_tg, 1))
 
@@ -201,14 +207,9 @@ def test_sem_seq_chains_compositions(list_tg):
 def test_sem_seq_passes_through_inapplicable_parts(list_tg):
     noop = ll_noop(list_tg).rule
     g = isolated(list_tg, 1)
-    sem = sem_seq([noop, delete_edge_rule(list_tg), noop], g)
+    sem = evaluate(seq(noop, delete_edge_rule(list_tg), noop), g)
     assert len(sem) == 1
     assert sem.contains(g, g)
-
-
-def test_sem_seq_rejects_an_empty_chain(list_tg):
-    with pytest.raises(GraphError, match="nonempty"):
-        sem_seq([], isolated(list_tg, 1))
 
 
 def test_sem_if_picks_the_branch_by_applicability(list_tg):
@@ -216,18 +217,17 @@ def test_sem_if_picks_the_branch_by_applicability(list_tg):
     then = delete_edge_rule(list_tg)
     orelse = delete_node_rule(list_tg)
     linked = make_list(list_tg, 2)
-    sem = sem_if(cond, then, orelse, linked)
+    sem = evaluate(IfExpr(cond, NodeExpr(then), NodeExpr(orelse)), linked)
     assert sem.contains(linked, isolated(list_tg, 2))
     lonely = isolated(list_tg, 1)
-    sem = sem_if(cond, then, orelse, lonely)
+    sem = evaluate(IfExpr(cond, NodeExpr(then), NodeExpr(orelse)), lonely)
     assert sem.contains(lonely, isolated(list_tg, 0))
 
 
 def test_sem_while_on_an_inapplicable_condition_is_the_identity(list_tg):
     g = isolated(list_tg, 2)
-    sem = sem_while(
-        edge_exists_rule(list_tg), delete_edge_rule(list_tg), g, 5
-    )
+    loop = drain_edges(list_tg)
+    sem = evaluate(loop, g, 5)
     assert len(sem) == 1
     assert sem.contains(g, g)
     assert not sem.incomplete
@@ -235,9 +235,8 @@ def test_sem_while_on_an_inapplicable_condition_is_the_identity(list_tg):
 
 def test_sem_while_drains_the_graph_when_the_depth_suffices(list_tg):
     g = make_list(list_tg, 3)  # two next edges
-    sem = sem_while(
-        edge_exists_rule(list_tg), delete_edge_rule(list_tg), g, 5
-    )
+    loop = drain_edges(list_tg)
+    sem = evaluate(loop, g, 5)
     assert not sem.incomplete
     assert len(sem) == 1
     assert sem.contains(g, isolated(list_tg, 3))
@@ -245,16 +244,15 @@ def test_sem_while_drains_the_graph_when_the_depth_suffices(list_tg):
 
 def test_sem_while_reports_incompleteness_at_the_bound(list_tg):
     g = make_list(list_tg, 3)
-    cond = edge_exists_rule(list_tg)
-    body = delete_edge_rule(list_tg)
-    shallow = sem_while(cond, body, g, 1)
+    loop = drain_edges(list_tg)
+    shallow = evaluate(loop, g, 1)
     assert shallow.incomplete
     assert len(shallow) == 0
-    stopped = sem_while(cond, body, g, 0)
+    stopped = evaluate(loop, g, 0)
     assert stopped.incomplete
     assert len(stopped) == 0
     with pytest.raises(GraphError, match="nonnegative"):
-        sem_while(cond, body, g, -1)
+        evaluate(loop, g, -1)
 
 
 # -- SemSet ------------------------------------------------------------------

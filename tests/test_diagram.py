@@ -203,24 +203,19 @@ def test_a_conditional_in_its_own_branch_is_rejected(list_tg):
     d = story_diagram(
         list_tg, joining_cfg(), {"cond": noop, "branch": noop, "join": noop}
     )
-    looped = _with_branches(
-        d, {"cond": {"success": {"cond", "branch"}, "failure": set()}}
-    )
+    looped = {"cond": {"success": {"cond", "branch"}, "failure": set()}}
     with _deadline(2), pytest.raises(DiagramError, match="in its own branch"):
-        analyze_scopes(looped)
+        _with_branches(d, looped)
 
 
 def test_conditionals_in_each_others_branches_are_rejected():
     d = load_story_diagram(str(FIXTURES / "delete_next_object.diagram.json"))
-    crossed = _with_branches(
-        d,
-        {
-            "hasOne": {"success": {"hasTwo"}, "failure": set()},
-            "hasTwo": {"success": set(), "failure": {"hasOne"}},
-        },
-    )
+    crossed = {
+        "hasOne": {"success": {"hasTwo"}, "failure": set()},
+        "hasTwo": {"success": set(), "failure": {"hasOne"}},
+    }
     with _deadline(2), pytest.raises(DiagramError, match="cycle"):
-        analyze_scopes(crossed)
+        _with_branches(d, crossed)
 
 
 def test_variables_declared_at_first_occurrence():
@@ -318,7 +313,7 @@ def test_scope_tree_is_stable_under_node_renaming(list_tg):
 
 def test_this_bound_in_the_first_node_is_ok(list_tg):
     d = story_diagram(list_tg, seq_cfg("story"), {"story": ll_noop(list_tg)})
-    assert validate_binding_marks(d, analyze_scopes(d)).ok
+    assert validate_binding_marks(d).ok
 
 
 def _bind_q(tg, bound=("this",)):
@@ -363,7 +358,7 @@ def test_branch_only_binding_is_not_bound_after_the_join(list_tg):
         verdict,
         classify_nodes(cfg, verdict),
     )
-    report = validate_binding_marks(d, analyze_scopes(d))
+    report = validate_binding_marks(d)
     assert not report.ok
     assert any("'q'" in v and "'join'" in v for v in report.violations)
 
@@ -389,7 +384,7 @@ def test_conditional_match_counts_only_along_success(list_tg):
         verdict,
         classify_nodes(cfg, verdict),
     )
-    report = validate_binding_marks(d, analyze_scopes(d))
+    report = validate_binding_marks(d)
     assert not report.ok
     violations = "\n".join(report.violations)
     assert "'join'" in violations and "'branch'" not in violations
@@ -426,7 +421,7 @@ def test_deleted_variable_is_unbound_downstream(list_tg):
         verdict,
         classify_nodes(cfg, verdict),
     )
-    report = validate_binding_marks(d, analyze_scopes(d))
+    report = validate_binding_marks(d)
     assert not report.ok
 
 
@@ -434,7 +429,7 @@ def test_inner_conditional_rematching_unbound_is_ok():
     d = load_story_diagram(str(FIXTURES / "delete_next_object.diagram.json"))
     # hasOne re-matches `next` unbound even though hasTwo also names it
     assert "next" not in d.pattern_at("hasOne").bound
-    assert validate_binding_marks(d, analyze_scopes(d)).ok
+    assert validate_binding_marks(d).ok
 
 
 # -- loading and file-level validation ---------------------------------------

@@ -29,9 +29,7 @@ from sdm.graph import (
     canonical_key,
     find_isomorphism,
     parse_graph,
-    parse_type_graph,
     serialize_graph,
-    serialize_type_graph,
     twin_classes,
     validate_typing,
 )
@@ -668,9 +666,3 @@ def test_parse_rejects_foreign_type_graph_name():
     text = '{"typegraph": "zoo", "nodes": [], "edges": []}'
     with pytest.raises(FormatError):
         parse_graph(text, tg)
-
-
-def test_type_graph_round_trip():
-    tg = zoo_tg()
-    back = parse_type_graph(serialize_type_graph(tg))
-    assert back == tg

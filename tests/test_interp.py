@@ -41,7 +41,14 @@ from sdm.interp import (
 
 from sdm.rewrite import apply_rule
 
-from .builders import FIXTURES, pattern_of, rule_of, seq_cfg, story_diagram
+from .builders import (
+    FIXTURES,
+    bindings_in_scope,
+    pattern_of,
+    rule_of,
+    seq_cfg,
+    story_diagram,
+)
 from .conftest import zoo_tg
 from .oracles import reference_matches
 
@@ -113,7 +120,7 @@ def test_initialize_binds_this_and_places_the_token(minimal):
     assert c.status == RUNNING
     assert c.token_at == minimal.classification.first == "story"
     assert c.token_attached
-    assert c.bindings_in_scope() == {"this": "o1"}
+    assert bindings_in_scope(c) == {"this": "o1"}
     assert c.current_instance().template == "root"
 
 
@@ -222,7 +229,7 @@ def test_conditional_success_binds_fresh_variables_in_the_branch(dno):
     step(c)
     inst = c.current_instance()
     assert inst.template == "hasTwo:success"
-    assert c.bindings_in_scope() == {
+    assert bindings_in_scope(c) == {
         "this": "o1",
         "next": "o2",
         "nextNext": "o3",

@@ -511,10 +511,14 @@ def test_deleting_the_highest_fresh_ids_frees_their_numbers():
     assert apply_at(append, host, "o1").created == {"n#2", "e#2"}
 
 
+def _ids(g: TypedGraph) -> set[str]:
+    return set(g.nodes) | set(g.edges)
+
+
 def test_apply_rule_returns_the_host_when_nothing_changes():
     # a graph never changes, so an application that deletes and creates
-    # nothing needs no copy: its result is the host, its comorphism the
-    # identity
+    # nothing needs no copy: its result is the host, and every host id
+    # survives
     tg = linked_list_tg()
     host = make_list(tg, 3)
     link = GraphBuilder(tg).node("x", "Object").node("y", "Object")
@@ -525,10 +529,8 @@ def test_apply_rule_returns_the_host_when_nothing_changes():
     out = apply_rule(rule, match, host)
     assert out.result is host
     assert out.created == set() and out.deleted == set()
-    assert out.comorphism.node_map == {n: n for n in host.nodes}
-    assert out.comorphism.edge_map == {e: e for e in host.edges}
+    assert _ids(host) - out.deleted == _ids(host) & _ids(out.result) == _ids(host)
     assert out.rhs_node_map == {"x": "o2", "y": "o3"}
-    assert out.rhs_edge_map == {"xy": "l2"}
 
 
 def test_apply_rejects_stale_match():
@@ -547,9 +549,10 @@ def test_comorphism_covers_exactly_survivors():
     rule = _delete_rule(tg)
     match = find_matches(rule, host, partial={"x": "o1"})[0]
     out = apply_rule(rule, match, host)
-    assert set(out.comorphism.node_map) == {"o2", "o3"}
-    assert set(out.comorphism.edge_map) == {"l2"}
-    assert all(out.comorphism.node_map[n] == n for n in out.comorphism.node_map)
+    # survivors keep their ids: the host ids outside `deleted` are exactly
+    # the host ids left in the result
+    survivors = _ids(host) - out.deleted
+    assert survivors == _ids(host) & _ids(out.result) == {"o2", "o3", "l2"}
 
 
 def _random_rule(rng: random.Random, tg) -> Rule:
@@ -664,8 +667,7 @@ def test_derived_graphs_equal_graphs_built_from_scratch(seed):
         assert iso_signature(h) == iso_signature(scratch)
         assert tuple(mark + 1 for mark in h._fresh_marks()) == reference_next_fresh(h)
         assert {n: (g.out_edges(n), g.in_edges(n)) for n in g.nodes} == before
-        assert out.comorphism.node_map == {n: n for n in g.nodes if n in h.nodes}
-        assert out.comorphism.edge_map == {e: e for e in g.edges if e in h.edges}
+        assert _ids(g) - out.deleted == _ids(g) & _ids(h)
         g = h
         applied += 1
         if applied == 6:
@@ -786,11 +788,8 @@ def test_replay_comorphism_chain_reproduces_final_graph():
     for _ in range(3):
         match = find_matches(rule, current)[0]
         out = apply_rule(rule, match, current)
-        survivors = {
-            n: out.comorphism.node_map[v]
-            for n, v in survivors.items()
-            if v in out.comorphism.node_map
-        }
+        survivors = {n: v for n, v in survivors.items() if v not in out.deleted}
+        assert set(survivors.values()) <= set(out.result.nodes)
         current = out.result
     # no deletions happened, so the original nodes all survive unrenamed
     assert survivors == {n: n for n in g.nodes}
