@@ -53,6 +53,6 @@ bridge = Rule(
 matches = find_matches(bridge, host)
 print(f"{len(matches)} match(es) for {bridge.name}")
 out = apply_rule(bridge, matches[0], host)
-print(f"deleted {out.deleted}, created {out.created}")
+print(f"deleted {sorted(out.deleted)}, created {sorted(out.created)}")
 print("result (the edges at b went with it):")
 print(serialize_graph(out.result))

@@ -91,11 +91,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     with open(args.trace, "w", encoding="utf-8") as fh:
         fh.write(trace.to_jsonl())
     if args.state:
-        try:
-            state = c.state_graph()
-        except GraphError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        state = c.state_graph()  # a clashing id raises GraphError: exit 3
         with open(args.state, "w", encoding="utf-8") as fh:
             fh.write(serialize_graph(state) + "\n")
 
@@ -218,6 +214,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SearchBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except GraphError as exc:  # raised mid-run, or by the state graph
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -173,6 +173,7 @@ class TypedGraph:
         self._adjacency: Optional[tuple[dict, dict]] = None
         self._marks: Optional[tuple[int, int]] = None
         self._signature: Optional[tuple] = None
+        self._node_sigs: Optional[dict] = None
         self._canon: Optional[tuple] = None
         self._plans: Optional[dict] = None  # see `_enumerate_monos`
         overlap = self.nodes.keys() & self.edges.keys()
@@ -198,7 +199,8 @@ class TypedGraph:
         `__init__` checks."""
         g = cls.__new__(cls)
         g.tg, g.nodes, g.edges = host.tg, dict(host.nodes), dict(host.edges)
-        g._marks, g._signature, g._canon, g._plans = marks, None, None, None
+        g._marks, g._signature, g._node_sigs = marks, None, None
+        g._canon = g._plans = None
         outs, ins = g._adjacency = tuple(dict(side) for side in host._index())
         for x in gone:
             if x in g.nodes:
@@ -549,12 +551,13 @@ def _enumerate_monos(
             yield nodes, emap
 
 
-def iso_signature(g: TypedGraph) -> tuple:
-    """Cheap isomorphism-invariant key for bucketing graphs, computed
-    once per graph."""
-    if g._signature is None:
+def node_signatures(g: TypedGraph) -> dict[str, tuple]:
+    """Each node's signature, in g's node order, computed once per graph:
+    its type, and its out- and in-edge counts by edge type, a self-loop
+    counted on both sides. An isomorphism preserves every signature."""
+    if g._node_sigs is None:
         out_index, in_index = g._index()
-        per_node = []
+        sigs = g._node_sigs = {}
         for nid, ntype in g.nodes.items():
             outs: dict[str, int] = {}
             ins: dict[str, int] = {}
@@ -562,10 +565,16 @@ def iso_signature(g: TypedGraph) -> tuple:
                 outs[e.type] = outs.get(e.type, 0) + 1
             for _, e in in_index.get(nid, ()):
                 ins[e.type] = ins.get(e.type, 0) + 1
-            per_node.append(
-                (ntype, tuple(sorted(outs.items())), tuple(sorted(ins.items())))
-            )
-        g._signature = (len(g.nodes), len(g.edges), tuple(sorted(per_node)))
+            sigs[nid] = (ntype, tuple(sorted(outs.items())), tuple(sorted(ins.items())))
+    return g._node_sigs
+
+
+def iso_signature(g: TypedGraph) -> tuple:
+    """Cheap isomorphism-invariant key for bucketing graphs, computed once
+    per graph: the node and edge counts and the sorted node signatures."""
+    if g._signature is None:
+        per_node = tuple(sorted(node_signatures(g).values()))
+        g._signature = (len(g.nodes), len(g.edges), per_node)
     return g._signature
 
 

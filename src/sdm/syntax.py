@@ -27,7 +27,7 @@ from .graph import (
     TypedGraph,
     TypeGraph,
     _enumerate_monos,
-    find_isomorphism,
+    node_signatures,
     validate_typing,
 )
 from .rewrite import (
@@ -309,32 +309,40 @@ class CfgValidation:
     base: Optional[TypedGraph] = None  # the embedded copy of the start graph
 
 
-def _degree_index(g: TypedGraph) -> tuple[dict[str, int], dict[int, list[str]]]:
-    """Each node's degree, a self-loop counted on both sides, and the nodes
-    of each degree in g's node order."""
-    outs, ins = g._index()
-    degree: dict[str, int] = {}
-    by_degree: dict[int, list[str]] = {}
-    for n in g.nodes:
-        d = degree[n] = len(outs.get(n, ())) + len(ins.get(n, ()))
-        by_degree.setdefault(d, []).append(n)
-    return degree, by_degree
-
-
 @lru_cache(maxsize=1)
 def _inverse_rules() -> tuple[tuple, ...]:
     """The reduction's table, largest right-hand side first: each rule with
-    its created nodes, its right-hand side's node degrees, and its sorted
-    node and edge ids."""
+    its created nodes, its right-hand side's node signatures and sorted
+    node and edge ids, and its search copy with the copy's id of each node.
+    The copy's ids sort the created nodes first, breadth-first from the
+    first one, then `a` and `b`; the matcher binds nodes in id order, so it
+    binds the nodes that must be exact before it branches over `a`."""
     rules = sorted(
         syntax_rules(), key=lambda r: (-len(r.rhs.nodes), -len(r.rhs.edges), r.name)
     )
     table = []
     for rule in rules:
-        rhs = rule.rhs
-        created, degree = rule.created_rhs_nodes(), _degree_index(rhs)[0]
-        table.append((rule, created, degree, rhs.node_ids(), rhs.edge_ids()))
+        rhs, created = rule.rhs, rule.created_rhs_nodes()
+        order = created[:1]
+        for n in order:  # every rule's created nodes are linked among themselves
+            for _, e in rhs.out_edges(n) + rhs.in_edges(n):
+                order += [m for m in (e.src, e.trg) if m in created and m not in order]
+        ids = {n: str(i) for i, n in enumerate(order + ["a", "b"])}
+        copy = TypedGraph(
+            rhs.tg,
+            {ids[n]: t for n, t in rhs.nodes.items()},
+            {eid: Edge(e.type, ids[e.src], ids[e.trg]) for eid, e in rhs.edges.items()},
+        )
+        sigs = node_signatures(rhs)
+        table.append((rule, created, sigs, rhs.node_ids(), rhs.edge_ids(), copy, ids))
     return tuple(table)
+
+
+def _is_start_graph(g: TypedGraph) -> bool:
+    """Whether a three-node g is the start graph: edges start -> story ->
+    stop join three distinct types, so they leave no room for more."""
+    links = sorted((g.nodes[e.src], g.nodes[e.trg], e.type) for e in g.edges.values())
+    return links == [(CF_NODE, STOP_NODE, NEXT), (START_NODE, CF_NODE, NEXT)]
 
 
 def validate_control_flow(g: TypedGraph) -> CfgValidation:
@@ -345,15 +353,18 @@ def validate_control_flow(g: TypedGraph) -> CfgValidation:
     in-rule edges, removes that material, and restores the matched next
     edge under a fresh `r#k` id. Every inverse strictly shrinks the
     graph, so the search is bounded; it backtracks over all rules and
-    matches with an isomorphism-keyed memo of dead ends.
+    matches with an isomorphism-keyed memo of dead ends, and accepts a
+    three-node state whose two edges are those of the start graph.
 
     A match is exact when each created node's image has the node's
-    degree in the right-hand side, since the matched edges are an
-    injective subset of the image's incident edges. So each state's
-    nodes are indexed by degree once, and the search for a rule pins its
-    first created node, which every rule links to `a` through `e1`, to
-    each host node of that exact degree, and tries the exact matches in
-    the matcher's lexicographic order.
+    signature (`node_signatures`) in the right-hand side, since the
+    matched edges are an injective subset of the image's incident edges.
+    So each state's nodes are indexed by signature once, and a rule is
+    tried only at the nodes carrying its first created node's signature:
+    that node, which every rule links to `a` through `e1`, is pinned to
+    each of them in the rule's search copy (`_inverse_rules`). A rule's
+    exact matches are tried in the lexicographic order of the rule's own
+    ids, so the verdict and the witness are those of an unpinned search.
     """
     report = validate_typing(g, SYNTAX_TYPE_GRAPH)
     if not report.ok:
@@ -361,20 +372,16 @@ def validate_control_flow(g: TypedGraph) -> CfgValidation:
     if ABSTRACT in g.nodes.values():
         return CfgValidation(False, "abstract node type instantiated")
 
-    target = start_graph()
     failed = IsoSet()
     restore_counter = [0]
 
-    def exact_matches(cur, index, rule, created, wanted, node_ids, edge_ids):
-        degree, by_degree = index
+    def exact_matches(cur, sig, index, created, wanted, node_ids, edge_ids, copy, ids):
         anchor = created[0]  # n or c, linked to a through e1
-        anchor_type = rule.rhs.nodes[anchor]
         found = []
-        for cand in by_degree.get(wanted[anchor], ()):
-            if not cur.tg.conforms(cur.nodes[cand], anchor_type):
-                continue
-            for node_map, edge_map in _enumerate_monos(rule.rhs, cur, {anchor: cand}):
-                if all(degree[node_map[n]] == wanted[n] for n in created):
+        for cand in index.get(wanted[anchor], ()):
+            for copy_map, edge_map in _enumerate_monos(copy, cur, {ids[anchor]: cand}):
+                node_map = {n: copy_map[ids[n]] for n in node_ids}
+                if all(sig[node_map[n]] == wanted[n] for n in created):
                     key = (
                         tuple(node_map[n] for n in node_ids),
                         tuple(edge_map[e] for e in edge_ids),
@@ -392,16 +399,15 @@ def validate_control_flow(g: TypedGraph) -> CfgValidation:
                 return rid
 
     def search(cur: TypedGraph) -> Optional[tuple[TypedGraph, list[DerivationStep]]]:
-        if len(cur.nodes) == len(target.nodes):
-            if find_isomorphism(cur, target):
-                return cur, []
+        if len(cur.nodes) == 3:
+            return (cur, []) if _is_start_graph(cur) else None
+        if len(cur.nodes) < 3 or cur in failed:
             return None
-        if len(cur.nodes) < len(target.nodes) or cur in failed:
-            return None
-        index = _degree_index(cur)
-        for inverse in _inverse_rules():
-            rule, created = inverse[:2]
-            for node_map, edge_map in exact_matches(cur, index, *inverse):
+        sig, index = node_signatures(cur), {}
+        for n, s in sig.items():
+            index.setdefault(s, []).append(n)
+        for rule, created, *inverse in _inverse_rules():
+            for node_map, edge_map in exact_matches(cur, sig, index, created, *inverse):
                 # undo: drop created nodes and matched edges, restore a -> b
                 drop = {node_map[n] for n in created} | set(edge_map.values())
                 restore = Edge(NEXT, node_map["a"], node_map["b"])

@@ -10,7 +10,9 @@ import pytest
 import sdm.canon
 import sdm.cli
 import sdm.diagram
+import sdm.interp
 from sdm.cli import main
+from sdm.graph import GraphError
 from sdm.interp import Trace
 
 from .builders import FIXTURES
@@ -248,6 +250,30 @@ def test_run_refuses_a_state_graph_whose_ids_clash(
     assert not state.exists()
     for name in ("out.json", "trace.jsonl"):
         assert (tmp_path / name).read_bytes() == (plain / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_a_graph_error_raised_mid_run_is_an_input_error(
+    capsys, tmp_path, monkeypatch, command
+):
+    real_step = sdm.interp.step
+
+    def step_failing_at_3(c, recorded=None):
+        if c.steps_taken == 2:
+            raise GraphError("created id 'x' is already in use")
+        return real_step(c, recorded)
+
+    monkeypatch.setattr(sdm.interp, "step", step_failing_at_3)
+    if command == "run":
+        argv = run_args(STAR, STAR5, tmp_path, "--this", "o0")
+    else:
+        argv = ["oracle", STAR, STAR5, "--this", "o0"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == "error: created id 'x' is already in use\n"
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
+    assert not (tmp_path / "trace.jsonl").exists()
 
 
 def test_run_writes_graph_files_without_the_python_json_encoder(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 
@@ -15,6 +16,7 @@ from sdm.graph import (
     GraphError,
     IsoSet,
     find_isomorphism,
+    iso_signature,
     validate_typing,
 )
 from sdm.rewrite import apply_rule, enumerate_language, find_matches, rule_from_dict
@@ -31,6 +33,7 @@ from sdm.syntax import (
     LOOP_HEAD_SUCCESS,
     NEXT,
     SEQUENTIAL,
+    START_NODE,
     STOP_NODE,
     SUCCESS,
     SYNTAX_TYPE_GRAPH,
@@ -191,7 +194,7 @@ def _shapes_and_mutants(sizes) -> list:
 
 
 def test_validation_ignores_insertion_order():
-    # degree buckets list a state's nodes in dict order; only the sort of
+    # signature buckets list a state's nodes in dict order; only the sort of
     # each rule's exact matches keeps the witness independent of it
     rng = random.Random(13)
     verdicts = set()
@@ -207,32 +210,85 @@ def test_validation_builds_each_plan_once_and_indexes_each_state_once(
     monkeypatch, plan_builds
 ):
     # counts, not timings, guard the reduction's hot path against per-call
-    # set-up: one plan per inverse rule for the whole process, and one
-    # degree index per search state
-    rhs_ids = {id(inverse[0].rhs) for inverse in sdm.syntax._inverse_rules()}
-    indexed, hosts = [], []
-    degree_index = sdm.syntax._degree_index
+    # set-up: one plan per search copy for the whole process, one signature
+    # computation per search state, and a matcher call only where a node
+    # carries the rule's anchor signature
+    anchors = {
+        id(copy): (ids[created[0]], wanted[created[0]])
+        for _, created, wanted, _, _, copy, ids in sdm.syntax._inverse_rules()
+    }
+    indexed, calls = [], []
+    node_signatures = sdm.syntax.node_signatures
     enumerate_monos = sdm.syntax._enumerate_monos
 
-    def counted_index(g):
+    def counted_signatures(g):
         indexed.append(g)
-        return degree_index(g)
+        return node_signatures(g)
 
     def counted_monos(pattern, host, forced_nodes):
-        hosts.append(host)
+        calls.append((pattern, host, forced_nodes))
         return enumerate_monos(pattern, host, forced_nodes)
 
-    monkeypatch.setattr(sdm.syntax, "_degree_index", counted_index)
+    monkeypatch.setattr(sdm.syntax, "node_signatures", counted_signatures)
     monkeypatch.setattr(sdm.syntax, "_enumerate_monos", counted_monos)
     graphs = _shapes_and_mutants(range(7, 22))
-    for rhs_plans in (range(17), range(1)):
-        for counts in (plan_builds, indexed, hosts):
+    for copy_plans in (range(17), range(1)):
+        for counts in (plan_builds, indexed, calls):
             counts.clear()
         verdicts = {validate_control_flow(g).ok for g in graphs}
         assert verdicts == {True, False}
-        assert sum(id(pattern) in rhs_ids for pattern in plan_builds) in rhs_plans
-        assert len({id(g) for g in indexed}) == len(indexed)
-        assert {id(host) for host in hosts} <= {id(g) for g in indexed}
+        assert sum(id(pattern) in anchors for pattern in plan_builds) in copy_plans
+        states = {id(g) for g in indexed}
+        assert len(states) == len(indexed)
+        assert calls
+        for pattern, host, forced_nodes in calls:
+            assert id(host) in states
+            anchor, wanted = anchors[id(pattern)]
+            assert [anchor] == list(forced_nodes)
+            assert node_signatures(host)[forced_nodes[anchor]] == wanted
+
+
+def _small_cfg(types, links):
+    b = GraphBuilder(SYNTAX_TYPE_GRAPH)
+    for i, ntype in enumerate(types):
+        b.node(f"v{i}", ntype)
+    for k, (etype, src, trg) in enumerate(links):
+        b.edge(f"x{k}", etype, f"v{src}", f"v{trg}")
+    return b.build()
+
+
+def test_start_check_equals_the_isomorphism_reference():
+    # the validator reads the start graph off a three-node state's two
+    # edges; the reference decides by isomorphism, on graphs built to
+    # look like the start graph by counts, types or signatures
+    kinds = (START_NODE, CF_NODE, STOP_NODE)
+    loop = _small_cfg(kinds[::2] + kinds[1:2], [(NEXT, 0, 1), (NEXT, 2, 2)])
+    assert iso_signature(loop) == iso_signature(start_graph())
+    chain = [(NEXT, 0, 1), (NEXT, 1, 2)]
+    hostile = [
+        loop,
+        _small_cfg(kinds[:1], []),
+        _small_cfg(kinds[:2], chain[:1]),
+        _small_cfg((START_NODE, CF_NODE, CF_NODE), chain),  # no stop node
+        _small_cfg((START_NODE, CF_NODE, CF_NODE, CF_NODE), chain + [(NEXT, 2, 3)]),
+        _small_cfg(kinds + (STOP_NODE,), chain + [(NEXT, 0, 3)]),
+    ]
+    ends = list(itertools.product(range(3), repeat=2))
+    extra = [(etype, *pair) for etype in (NEXT, SUCCESS, FAILURE) for pair in ends]
+    hostile += [_small_cfg(kinds, chain + [link]) for link in extra]
+    # every three-node graph with at most two edges, types up to order
+    for types in itertools.combinations_with_replacement(kinds, 3):
+        for count in range(3):
+            for links in itertools.combinations(extra, count):
+                hostile.append(_small_cfg(types, links))
+    accepted = 0
+    for g in hostile:
+        got, want = validate_control_flow(g), reference_validate_control_flow(g)
+        assert (got.ok, got.reason, got.base) == (want.ok, want.reason, want.base)
+        assert got.derivation == want.derivation
+        accepted += got.ok
+    assert not validate_control_flow(loop).ok
+    assert accepted == 1  # the start graph itself, among the two-edge graphs
 
 
 def test_validate_start_graph():
