@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import hashlib
 import json
+import pathlib
 
 import pytest
 from hypothesis import given, settings
@@ -853,6 +855,10 @@ def test_runs_are_byte_identical_under_the_reference_matcher(
     assert len(reference_calls) > 100
 
 
+# the sha256 of every state graph of each run below, initial state first
+STATE_DIGESTS = pathlib.Path(__file__).with_name("state_graph_digests.json")
+
+
 def _linear_variable_for(self, model_node: str) -> str:
     # the unindexed lookup: scan var_models in creation order
     for var, target in self.var_models.items():
@@ -887,6 +893,10 @@ def test_variable_index_keeps_state_graph_bytes(
         return states
 
     indexed = state_graphs()
+    digests = json.loads(STATE_DIGESTS.read_text(encoding="utf-8"))
+    assert [
+        hashlib.sha256(s.encode()).hexdigest() for s in indexed
+    ] == digests[f"{diagram_name} {model_name} {this}"]
     monkeypatch.setattr(Configuration, "_variable_for", _linear_variable_for)
     assert state_graphs() == indexed
 
