@@ -21,7 +21,7 @@ for length in (1, 2, 3, 5):
         (FIXTURES / f"list{length}.model.json").read_text(), d.tg
     )
     c, trace = run(initialize(d, model, "o1"))
-    print(f"\nlist of {length}: {c.status} in {c.steps_taken} steps")
+    print(f"\nlist of {length}: {c.status} in {len(trace.steps)} steps")
     for ts in trace.steps:
         binds = ", ".join(f"{k}={v}" for k, v in sorted(ts.match.items()))
         print(f"  {ts.step}. {ts.node}: {ts.outcome}" + (f" ({binds})" if binds else ""))

@@ -79,7 +79,7 @@ def _start(args: argparse.Namespace, **options) -> tuple[Optional[Configuration]
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    c, code = _start(args, match_order=args.match_order, seed=args.seed)
+    c, code = _start(args, seed=args.seed)
     if c is None:
         return code
     c, trace = run(c, max_steps=args.max_steps)
@@ -96,10 +96,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             fh.write(serialize_graph(state) + "\n")
 
     if c.status == TERMINATED:
-        print(f"terminated after {c.steps_taken} steps")
+        print(f"terminated after {len(c.trace)} steps")
         return EXIT_OK
     if c.status == ERROR:
-        print(f"pattern failed at node {c.failed_node}")
+        print(f"pattern failed at node {c.token_at}")
         return EXIT_PATTERN_FAILED
     if c.status == NONTERMINATING:
         print(f"step budget of {args.max_steps} exhausted")

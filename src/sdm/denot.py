@@ -225,7 +225,6 @@ def cross_check(
     c: Configuration,
     trace: Trace,
     model_bound: int = DEFAULT_MODEL_BOUND,
-    depth: int = DEFAULT_UNROLL_DEPTH,
 ) -> Verdict:
     """Replay a run from its freshly initialized configuration `c`, and
     compare it against the denotational pair set.
@@ -270,7 +269,7 @@ def cross_check(
         v.notes.append("run did not terminate; no final pair to check")
         return v
 
-    sem = evaluate(expr, model, depth)
+    sem = evaluate(expr, model, DEFAULT_UNROLL_DEPTH)
     v.sem_size = len(sem)
     v.incomplete = sem.incomplete
     v.pair_checked = True

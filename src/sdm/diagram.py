@@ -449,6 +449,6 @@ def load_story_diagram(path: str) -> StoryDiagram:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # nesting too deep
             raise FormatError(f"{path}: {exc}") from exc
     return diagram_from_dict(data)

@@ -740,7 +740,7 @@ def parse_graph(text: str, tg: TypeGraph) -> TypedGraph:
     """Parse the JSON graph format and check typing against tg."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nesting too deep
         raise FormatError(f"not valid JSON: {exc}") from exc
     return graph_from_dict(data, tg)
 

@@ -31,11 +31,10 @@ from .syntax import (
     ABSTRACT,
     CF_NODE,
     FAILURE,
-    NEXT,
     SEQUENTIAL,
-    START_NODE,
     STOP_NODE,
     SUCCESS,
+    SYNTAX_TYPE_GRAPH,
     branch_targets,
     next_target,
 )
@@ -56,63 +55,52 @@ TOKEN_TYPE = "PositionToken"
 INVOCATION_TYPE = "PatternInvocation"
 
 
-def semantic_type_graph() -> TypeGraph:
-    """Joint type graph of control-flow syntax and execution state."""
-    return TypeGraph(
-        "ExecutionState",
-        {
-            ABSTRACT: None,
-            CF_NODE: ABSTRACT,
-            START_NODE: ABSTRACT,
-            STOP_NODE: ABSTRACT,
-            SCOPE_TYPE: None,
-            CFVAR_TYPE: None,
-            BINDING_TYPE: None,
-            VARIABLE_TYPE: None,
-            TOKEN_TYPE: None,
-            INVOCATION_TYPE: None,
-        },
-        {
-            NEXT: EdgeType(ABSTRACT, ABSTRACT),
-            SUCCESS: EdgeType(ABSTRACT, ABSTRACT),
-            FAILURE: EdgeType(ABSTRACT, ABSTRACT),
-            "at": EdgeType(TOKEN_TYPE, ABSTRACT),
-            "parentScope": EdgeType(SCOPE_TYPE, SCOPE_TYPE),
-            "nodes": EdgeType(SCOPE_TYPE, ABSTRACT),
-            "variables": EdgeType(SCOPE_TYPE, CFVAR_TYPE),
-            "instanceOf": EdgeType(SCOPE_TYPE, SCOPE_TYPE),
-            "inScope": EdgeType(BINDING_TYPE, SCOPE_TYPE),
-            "forVariable": EdgeType(BINDING_TYPE, CFVAR_TYPE),
-            "boundTo": EdgeType(BINDING_TYPE, VARIABLE_TYPE),
-            "invocation": EdgeType(CF_NODE, INVOCATION_TYPE),
-            "constructedVariables": EdgeType(INVOCATION_TYPE, CFVAR_TYPE),
-            "destructedVariables": EdgeType(INVOCATION_TYPE, CFVAR_TYPE),
-        },
-    )
-
-
-SEMANTIC_TYPE_GRAPH = semantic_type_graph()
+# the control-flow syntax plus the execution state's runtime types
+SEMANTIC_TYPE_GRAPH = TypeGraph(
+    "ExecutionState",
+    SYNTAX_TYPE_GRAPH.node_types
+    | {
+        SCOPE_TYPE: None,
+        CFVAR_TYPE: None,
+        BINDING_TYPE: None,
+        VARIABLE_TYPE: None,
+        TOKEN_TYPE: None,
+        INVOCATION_TYPE: None,
+    },
+    SYNTAX_TYPE_GRAPH.edge_types
+    | {
+        "at": EdgeType(TOKEN_TYPE, ABSTRACT),
+        "parentScope": EdgeType(SCOPE_TYPE, SCOPE_TYPE),
+        "nodes": EdgeType(SCOPE_TYPE, ABSTRACT),
+        "variables": EdgeType(SCOPE_TYPE, CFVAR_TYPE),
+        "instanceOf": EdgeType(SCOPE_TYPE, SCOPE_TYPE),
+        "inScope": EdgeType(BINDING_TYPE, SCOPE_TYPE),
+        "forVariable": EdgeType(BINDING_TYPE, CFVAR_TYPE),
+        "boundTo": EdgeType(BINDING_TYPE, VARIABLE_TYPE),
+        "invocation": EdgeType(CF_NODE, INVOCATION_TYPE),
+        "constructedVariables": EdgeType(INVOCATION_TYPE, CFVAR_TYPE),
+        "destructedVariables": EdgeType(INVOCATION_TYPE, CFVAR_TYPE),
+    },
+)
 
 
 @dataclass(slots=True)
 class BindingRec:
     id: str
     cfvar: CFVariable
-    var_node: str  # Variable proxy node id
+    model_node: str
 
 
 @dataclass(slots=True)
 class ScopeInstance:
     id: str
     template: str
-    parent: Optional[str]
     bindings: dict[str, BindingRec] = field(default_factory=dict)
 
 
 @dataclass(slots=True)
 class InvocationRec:
     id: str
-    node: str
     constructed: list[CFVariable]
     destructed: list[CFVariable]
 
@@ -171,13 +159,21 @@ class Trace:
                 if rec["outcome"] not in ("matched", "failed", "terminated"):
                     raise FormatError(f"unknown outcome {rec['outcome']!r}")
                 steps.append(TraceStep(**{**rec, "match": match}))
-            except (ValueError, KeyError, TypeError, AttributeError, FormatError) as e:
+            except (ValueError, KeyError, TypeError, AttributeError, FormatError,
+                    RecursionError) as e:  # RecursionError: nesting too deep
                 raise FormatError(f"trace line {number}: {e!r}") from e
         return cls(steps)
 
 
 class Configuration:
-    """Mutable execution state for one story-diagram run."""
+    """Mutable execution state for one story-diagram run.
+
+    The live scope instances form `stack`, root first: a branch pushes
+    an instance and a join pops the top. The token is attached to
+    `token_at` while the run is neither terminated nor in error; under
+    error, `token_at` is the node whose pattern failed. `len(trace)`
+    is the number of steps taken.
+    """
 
     def __init__(
         self,
@@ -192,18 +188,14 @@ class Configuration:
         self.strategy = strategy
         self.rng = rng
         self.status = RUNNING
-        self.failed_node: Optional[str] = None
         self.token_at: str = diagram.classification.first
-        self.token_attached = True
-        self.instances: dict[str, ScopeInstance] = {}
-        self.current = ""
-        self.var_models: dict[str, str] = {}  # Variable node -> model node
-        self._var_of: dict[str, str] = {}  # the inverse of var_models
-        self.invocations: dict[str, InvocationRec] = {}
+        self._counters = {"s": 0, "b": 0, "p": 0}
+        self.stack = [ScopeInstance(self._fresh("s"), ROOT_SCOPE)]
+        # model node -> its Variable proxy, numbered on its first binding
+        self.proxies: dict[str, str] = {}
+        self.invocations: dict[str, InvocationRec] = {}  # by control flow node
         self.trace: list[TraceStep] = []
-        self.steps_taken = 0
         self.model_rev = 0
-        self._counters = {"s": 0, "b": 0, "v": 0, "p": 0}
 
     def _fresh(self, kind: str) -> str:
         self._counters[kind] += 1
@@ -211,43 +203,28 @@ class Configuration:
 
     # -- scope bookkeeping -------------------------------------------------
 
-    def current_instance(self) -> ScopeInstance:
-        return self.instances[self.current]
-
-    def model_of(self, rec: BindingRec) -> str:
-        return self.var_models[rec.var_node]
-
-    def _variable_for(self, model_node: str) -> str:
-        var = self._var_of.get(model_node)
-        if var is None:
-            var = self._fresh("v")
-            self.var_models[var] = model_node
-            self._var_of[model_node] = var
-        return var
-
     def _bind(self, instance: ScopeInstance, name: str, model_node: str) -> None:
         cfvar = self.scopes.resolve(instance.template, name)
         if cfvar is None:
             raise GraphError(
                 f"no control flow variable {name!r} in scope of {instance.template!r}"
             )
-        instance.bindings[name] = BindingRec(
-            self._fresh("b"), cfvar, self._variable_for(model_node)
-        )
+        self.proxies.setdefault(model_node, f"v{len(self.proxies) + 1}")
+        instance.bindings[name] = BindingRec(self._fresh("b"), cfvar, model_node)
 
-    def _new_instance(self, template: str, parent: Optional[str]) -> ScopeInstance:
-        inst = ScopeInstance(self._fresh("s"), template, parent)
-        if parent is not None:
-            for name, rec in sorted(self.instances[parent].bindings.items()):
-                inst.bindings[name] = BindingRec(
-                    self._fresh("b"), rec.cfvar, rec.var_node
-                )
-        self.instances[inst.id] = inst
+    def _push_instance(self, template: str) -> ScopeInstance:
+        """Push an instance of `template` holding copies of the top's bindings."""
+        inst = ScopeInstance(self._fresh("s"), template)
+        for name, rec in sorted(self.stack[-1].bindings.items()):
+            inst.bindings[name] = BindingRec(
+                self._fresh("b"), rec.cfvar, rec.model_node
+            )
+        self.stack.append(inst)
         return inst
 
     def _pop_instance(self, events: list[dict]) -> None:
-        exited = self.instances.pop(self.current)
-        parent = self.instances[exited.parent]
+        exited = self.stack.pop()
+        parent = self.stack[-1]
         event = {
             "event": "exit",
             "scope": exited.id,
@@ -264,12 +241,11 @@ class Configuration:
             adopted = []
             for name, rec in sorted(exited.bindings.items()):
                 parent.bindings[name] = BindingRec(
-                    self._fresh("b"), rec.cfvar, rec.var_node
+                    self._fresh("b"), rec.cfvar, rec.model_node
                 )
                 adopted.append(name)
             event["adopted"] = adopted
         events.append(event)
-        self.current = exited.parent
 
     # -- views -------------------------------------------------------------
 
@@ -277,16 +253,17 @@ class Configuration:
         """Materialize the execution state as a typed graph.
 
         The static scope templates appear alongside the runtime scope
-        instances; instances point at their template and parent
-        instance, bindings at scope, control flow variable, and model
-        proxy. Discarded instances and their bindings are absent. Raises
+        instances; instances point at their template and at the instance
+        below them on the stack, bindings at scope, control flow
+        variable, and model proxy. Discarded instances and their
+        bindings are absent. Raises
         GraphError when a runtime id is also an id of the control flow
         graph, since the two share the state graph's one namespace.
         """
         cfg = self.diagram.cfg
         nodes: dict[str, str] = {"token": TOKEN_TYPE}
         edges: dict[str, Edge] = {}
-        if self.token_attached:
+        if self.status not in (TERMINATED, ERROR):
             edges["at"] = Edge("at", "token", self.token_at)
         for template in self.scopes.templates.values():
             nodes[template.id] = SCOPE_TYPE
@@ -302,22 +279,23 @@ class Configuration:
                 nodes[cfvar.id] = CFVAR_TYPE
                 edges[f"v:{cfvar.id}"] = Edge("variables", template.id, cfvar.id)
         live_vars = set()
-        for inst in self.instances.values():
+        for below, inst in zip([None, *self.stack], self.stack):
             nodes[inst.id] = SCOPE_TYPE
             edges[f"io:{inst.id}"] = Edge("instanceOf", inst.id, inst.template)
-            if inst.parent is not None:
-                edges[f"ps:{inst.id}"] = Edge("parentScope", inst.id, inst.parent)
+            if below is not None:
+                edges[f"ps:{inst.id}"] = Edge("parentScope", inst.id, below.id)
             for rec in inst.bindings.values():
+                var = self.proxies[rec.model_node]
                 nodes[rec.id] = BINDING_TYPE
-                live_vars.add(rec.var_node)
+                live_vars.add(var)
                 edges[f"in:{rec.id}"] = Edge("inScope", rec.id, inst.id)
                 edges[f"for:{rec.id}"] = Edge("forVariable", rec.id, rec.cfvar.id)
-                edges[f"to:{rec.id}"] = Edge("boundTo", rec.id, rec.var_node)
+                edges[f"to:{rec.id}"] = Edge("boundTo", rec.id, var)
         for var in sorted(live_vars):
             nodes[var] = VARIABLE_TYPE
-        for inv in self.invocations.values():
+        for node, inv in self.invocations.items():
             nodes[inv.id] = INVOCATION_TYPE
-            edges[f"of:{inv.id}"] = Edge("invocation", inv.node, inv.id)
+            edges[f"of:{inv.id}"] = Edge("invocation", node, inv.id)
             for cfvar in inv.constructed:
                 edges[f"c:{inv.id}:{cfvar.id}"] = Edge(
                     "constructedVariables", inv.id, cfvar.id
@@ -342,18 +320,17 @@ def initialize(
     model: TypedGraph,
     this_node: str,
     strategy: str = CONSERVATIVE,
-    match_order: str = "lex",
     seed: Optional[int] = None,
 ) -> Configuration:
-    """Create the initial configuration: root scope, this binding, token."""
+    """Create the initial configuration: root scope, this binding, token.
+
+    Matches are taken in lex order, or in a random order drawn from
+    `seed` when one is given.
+    """
     if model.tg != d.tg:
         raise GraphError("model is typed over a different type graph")
     if strategy not in (CONSERVATIVE, OPTIMISTIC):
         raise GraphError(f"unknown strategy {strategy!r}")
-    if match_order not in ("lex", "random"):
-        raise GraphError(f"unknown match order {match_order!r}")
-    if (match_order == "random") != (seed is not None):
-        raise GraphError("a seed is required exactly for random match order")
     name, this_type = d.params[0]
     if this_node not in model.nodes:
         raise GraphError(f"this node {this_node!r} is not in the model")
@@ -362,11 +339,9 @@ def initialize(
             f"this node {this_node!r} has type {model.nodes[this_node]!r}, "
             f"expected {this_type!r}"
         )
-    rng = random.Random(seed) if match_order == "random" else None
+    rng = None if seed is None else random.Random(seed)
     c = Configuration(d, model, strategy, rng)
-    root = c._new_instance(ROOT_SCOPE, None)
-    c.current = root.id
-    c._bind(root, name, this_node)
+    c._bind(c.stack[0], name, this_node)
     return c
 
 
@@ -414,34 +389,29 @@ def step(c: Configuration, recorded: Optional[TraceStep] = None) -> Configuratio
     if c.status != RUNNING:
         raise GraphError(f"cannot step a configuration in status {c.status!r}")
     node = c.token_at
-    c.steps_taken += 1
+    number = len(c.trace) + 1
     node_type = c.diagram.cfg.nodes[node]
 
     if node_type == STOP_NODE:
         c.status = TERMINATED
-        c.token_attached = False
         c.trace.append(
-            TraceStep(
-                c.steps_taken, node, "terminated", {}, [], [], [], c.model_rev, None, {}
-            )
+            TraceStep(number, node, "terminated", {}, [], [], [], c.model_rev, None, {})
         )
         return c
 
-    # exiting branches: pop until the node's own template is current
+    # exiting branches: pop until the node's own template is on top
     events: list[dict] = []
     target_template = c.scopes.node_template[node]
-    while c.current_instance().template != target_template:
-        if not c.scopes.is_strict_ancestor(
-            target_template, c.current_instance().template
-        ):
+    while c.stack[-1].template != target_template:
+        if not c.scopes.is_strict_ancestor(target_template, c.stack[-1].template):
             raise GraphError(
                 f"token at {node!r} in scope {target_template!r}, which is not "
-                f"an ancestor of {c.current_instance().template!r}"
+                f"an ancestor of {c.stack[-1].template!r}"
             )
         c._pop_instance(events)
 
     pattern = c.diagram.pattern_at(node)
-    env = c.current_instance().bindings
+    env = c.stack[-1].bindings
     partial: dict[str, str] = {}
     for lhs_node, name in sorted(pattern.lhs_names.items()):
         rec = env.get(name)
@@ -451,7 +421,7 @@ def step(c: Configuration, recorded: Optional[TraceStep] = None) -> Configuratio
                     f"bound variable {name!r} has no binding at node {node!r}"
                 )
             continue
-        partial[lhs_node] = c.model_of(rec)
+        partial[lhs_node] = rec.model_node
         if partial[lhs_node] not in c.model.nodes:
             match = None  # a dangling binding fails the invocation
             break
@@ -461,45 +431,37 @@ def step(c: Configuration, recorded: Optional[TraceStep] = None) -> Configuratio
     kind_branches = c.diagram.classification.kinds[node] != SEQUENTIAL
 
     match_by_name: dict[str, str] = {}
-    rhs_node_map: dict[str, str] = {}
     constructed: list[str] = []
     destructed: list[str] = []
     if matched:
         out = apply_rule(pattern.rule, match, c.model)
         c.model = out.result
         c.model_rev += 1
-        rhs_node_map = out.rhs_node_map
         match_by_name = {pattern.lhs_names[l]: h for l, h in match.node_map.items()}
-        fresh = {name for l, name in pattern.lhs_names.items() if l not in partial}
+        # every variable the rewrite leaves, at its model node; the unpinned
+        # ones are constructed
+        images = {pattern.rhs_names[r]: h for r, h in out.rhs_node_map.items()}
+        pinned = {pattern.lhs_names[l] for l in partial}
         destructed = sorted(pattern.deleted_names())
-        constructed = sorted((fresh - set(destructed)) | set(pattern.created_names()))
+        constructed = sorted(images.keys() - pinned)
 
     if kind_branches:
         polarity = SUCCESS if matched else FAILURE
         succ, fail = branch_targets(c.diagram.cfg, node)
         target = succ if matched else fail
-        inst = c._new_instance(f"{node}:{polarity}", c.current)
+        inst = c._push_instance(f"{node}:{polarity}")
         events.append(
             {"event": "enter", "scope": inst.id, "template": inst.template}
         )
-        c.current = inst.id
-        update_in = inst
     else:
         target = next_target(c.diagram.cfg, node) if matched else None
-        update_in = c.current_instance()
+    update_in = c.stack[-1]
 
     constructed_vars: list[CFVariable] = []
     destructed_vars: list[CFVariable] = []
     if matched:
         for name in constructed:
-            if name in pattern.created_names():
-                created_rhs = next(
-                    r for r, n in pattern.rhs_names.items() if n == name
-                )
-                model_node = rhs_node_map[created_rhs]
-            else:
-                model_node = match_by_name[name]
-            c._bind(update_in, name, model_node)
+            c._bind(update_in, name, images[name])
             constructed_vars.append(update_in.bindings[name].cfvar)
         for name in destructed:
             rec = update_in.bindings.pop(name, None)
@@ -510,19 +472,17 @@ def step(c: Configuration, recorded: Optional[TraceStep] = None) -> Configuratio
                 destructed_vars.append(cfvar)
 
     c.invocations[node] = InvocationRec(
-        c._fresh("p"), node, constructed_vars, destructed_vars
+        c._fresh("p"), constructed_vars, destructed_vars
     )
 
     if matched or kind_branches:
         c.token_at = target
     else:
-        c.token_attached = False
-        c.status = ERROR
-        c.failed_node = node
+        c.status = ERROR  # the token stays at the failed node
 
     c.trace.append(
         TraceStep(
-            c.steps_taken,
+            number,
             node,
             "matched" if matched else "failed",
             match_by_name,
@@ -541,7 +501,7 @@ def run(c: Configuration, max_steps: int = 10000) -> tuple[Configuration, Trace]
     """Step until termination, error, or budget exhaustion."""
     if max_steps <= 0:
         raise GraphError("max_steps must be positive")
-    while c.status == RUNNING and c.steps_taken < max_steps:
+    while c.status == RUNNING and len(c.trace) < max_steps:
         step(c)
     if c.status == RUNNING:
         c.status = NONTERMINATING

@@ -11,11 +11,12 @@ heads a conditional or a loop.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
+from typing import Iterator, Optional
 
 from .graph import (
     Edge,
@@ -373,7 +374,7 @@ def validate_control_flow(g: TypedGraph) -> CfgValidation:
         return CfgValidation(False, "abstract node type instantiated")
 
     failed = IsoSet()
-    restore_counter = [0]
+    restore_counter = itertools.count(1)
 
     def exact_matches(cur, sig, index, created, wanted, node_ids, edge_ids, copy, ids):
         anchor = created[0]  # n or c, linked to a through e1
@@ -390,50 +391,47 @@ def validate_control_flow(g: TypedGraph) -> CfgValidation:
         found.sort(key=lambda m: m[0])
         return [(node_map, edge_map) for _, node_map, edge_map in found]
 
-    def restore_id(cur: TypedGraph, drop: set[str]) -> str:
-        # the next r#k that no element kept from cur already uses
-        while True:
-            restore_counter[0] += 1
-            rid = f"r#{restore_counter[0]}"
-            if rid in drop or (rid not in cur.nodes and rid not in cur.edges):
-                return rid
-
-    def search(cur: TypedGraph) -> Optional[tuple[TypedGraph, list[DerivationStep]]]:
-        if len(cur.nodes) == 3:
-            return (cur, []) if _is_start_graph(cur) else None
-        if len(cur.nodes) < 3 or cur in failed:
-            return None
+    def reductions(cur: TypedGraph) -> Iterator[tuple[TypedGraph, DerivationStep]]:
+        """Every inverse rule application to cur, in search order."""
         sig, index = node_signatures(cur), {}
         for n, s in sig.items():
             index.setdefault(s, []).append(n)
         for rule, created, *inverse in _inverse_rules():
             for node_map, edge_map in exact_matches(cur, sig, index, created, *inverse):
                 # undo: drop created nodes and matched edges, restore a -> b
+                # under the next r#k that no element kept from cur uses
                 drop = {node_map[n] for n in created} | set(edge_map.values())
-                restore = Edge(NEXT, node_map["a"], node_map["b"])
-                reduced = TypedGraph._derive(
-                    cur, drop, {}, {restore_id(cur, drop): restore}
+                rid = next(
+                    r
+                    for r in (f"r#{k}" for k in restore_counter)
+                    if r in drop or (r not in cur.nodes and r not in cur.edges)
                 )
-                found = search(reduced)
-                if found is not None:
-                    base, steps = found
-                    steps.append(
-                        DerivationStep(
-                            rule.name,
-                            node_map["a"],
-                            node_map["b"],
-                            {n: node_map[n] for n in created},
-                        )
-                    )
-                    return base, steps
-        failed.add(cur)
-        return None
+                restore = Edge(NEXT, node_map["a"], node_map["b"])
+                yield TypedGraph._derive(cur, drop, {}, {rid: restore}), DerivationStep(
+                    rule.name,
+                    node_map["a"],
+                    node_map["b"],
+                    {n: node_map[n] for n in created},
+                )
 
-    found = search(g)
-    if found is None:
-        return CfgValidation(False, "not reducible to the start graph")
-    base, steps = found
-    return CfgValidation(True, derivation=steps, base=base)
+    # depth-first on an explicit stack, since a chain of n story nodes takes
+    # n reductions in a row; a frame is a state on the search path, its
+    # untried reductions and the step into it
+    if len(g.nodes) == 3 and _is_start_graph(g):
+        return CfgValidation(True, derivation=[], base=g)
+    frames = [(g, reductions(g), None)] if len(g.nodes) > 3 else []
+    while frames:
+        state, pending, _ = frames[-1]
+        child, step = next(pending, (None, None))
+        if child is None:
+            failed.add(state)
+            frames.pop()
+        elif len(child.nodes) == 3 and _is_start_graph(child):
+            steps = [step, *(into for _, _, into in reversed(frames[1:]))]
+            return CfgValidation(True, derivation=steps, base=child)
+        elif len(child.nodes) > 3 and child not in failed:
+            frames.append((child, reductions(child), step))
+    return CfgValidation(False, "not reducible to the start graph")
 
 
 @dataclass(slots=True)
@@ -442,9 +440,7 @@ class NodeClassification:
 
     kinds: dict[str, str]
     joins: dict[str, str]  # joining conditional -> join node
-    branch_stops: dict[str, dict[str, set[str]]]  # non-joining -> polarity -> stops
     branch_members: dict[str, dict[str, set[str]]]  # conditional -> polarity -> nodes
-    start: str
     first: str  # the node the start edge points at
 
 
@@ -467,7 +463,7 @@ def classify_nodes(g: TypedGraph, validation: CfgValidation) -> NodeClassificati
 
     The heads of conditionals and loops are the `c` nodes that joining,
     non-joining and while rules created, and an if-then joins at the `b`
-    it was inserted before. Branch members and stops are what each
+    it was inserted before. Branch members are the story nodes each
     branch reaches; a loop's members are the body nodes that flow back
     to its head.
     """
@@ -477,7 +473,6 @@ def classify_nodes(g: TypedGraph, validation: CfgValidation) -> NodeClassificati
     first = g.out_edges(start)[0][1].trg
     kinds = {n: SEQUENTIAL for n in sorted(g.nodes) if g.nodes[n] == CF_NODE}
     joins: dict[str, str] = {}
-    branch_stops: dict[str, dict[str, set[str]]] = {}
     branch_members: dict[str, dict[str, set[str]]] = {}
 
     def cf_only(nodes: set[str]) -> set[str]:
@@ -508,21 +503,14 @@ def classify_nodes(g: TypedGraph, validation: CfgValidation) -> NodeClassificati
                 FAILURE: cf_only(_reach(g, [fail], {n, step.b})),
             }
         else:
-            r_succ, r_fail = _reach(g, [succ], {n}), _reach(g, [fail], {n})
             kinds[n] = COND_NONJOINING
-            branch_members[n] = {SUCCESS: cf_only(r_succ), FAILURE: cf_only(r_fail)}
-            branch_stops[n] = {
-                SUCCESS: {m for m in r_succ if g.nodes[m] == STOP_NODE},
-                FAILURE: {m for m in r_fail if g.nodes[m] == STOP_NODE},
+            branch_members[n] = {
+                SUCCESS: cf_only(_reach(g, [succ], {n})),
+                FAILURE: cf_only(_reach(g, [fail], {n})),
             }
 
     return NodeClassification(
-        kinds=kinds,
-        joins=joins,
-        branch_stops=branch_stops,
-        branch_members=branch_members,
-        start=start,
-        first=first,
+        kinds=kinds, joins=joins, branch_members=branch_members, first=first
     )
 
 

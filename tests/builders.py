@@ -88,7 +88,7 @@ def story_diagram(
 
 def bindings_in_scope(c: Configuration) -> dict[str, str]:
     """Variable name to model node id in the current scope instance."""
-    return {name: c.model_of(rec) for name, rec in c.current_instance().bindings.items()}
+    return {name: rec.model_node for name, rec in c.stack[-1].bindings.items()}
 
 
 def ll_noop(tg: TypeGraph) -> StoryPattern:

@@ -63,7 +63,6 @@ from sdm.syntax import (
     NEXT,
     SEQUENTIAL,
     START_NODE,
-    STOP_NODE,
     SUCCESS,
     SYNTAX_TYPE_GRAPH,
     CfgValidation,
@@ -559,7 +558,6 @@ def reference_classify_nodes(g: TypedGraph) -> NodeClassification:
 
     kinds: dict[str, str] = {}
     joins: dict[str, str] = {}
-    branch_stops: dict[str, dict[str, set[str]]] = {}
     branch_members: dict[str, dict[str, set[str]]] = {}
 
     def cf_only(nodes: set[str]) -> set[str]:
@@ -614,10 +612,6 @@ def reference_classify_nodes(g: TypedGraph) -> NodeClassification:
                 SUCCESS: cf_only(r_succ),
                 FAILURE: cf_only(r_fail),
             }
-            branch_stops[n] = {
-                SUCCESS: {m for m in r_succ if g.nodes[m] == STOP_NODE},
-                FAILURE: {m for m in r_fail if g.nodes[m] == STOP_NODE},
-            }
         else:
             # the join is the common node both branches reach before any
             # other common node; a loop around the conditional may make
@@ -639,10 +633,5 @@ def reference_classify_nodes(g: TypedGraph) -> NodeClassification:
             }
 
     return NodeClassification(
-        kinds=kinds,
-        joins=joins,
-        branch_stops=branch_stops,
-        branch_members=branch_members,
-        start=start,
-        first=first,
+        kinds=kinds, joins=joins, branch_members=branch_members, first=first
     )

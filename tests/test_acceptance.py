@@ -334,9 +334,9 @@ def test_criterion_6_loop_scope_hygiene(capsys):
         ts = c.trace[-1]
         if ts.node == "head" and ts.outcome == "matched":
             for old_inst, _ in iterations:
-                if old_inst in c.instances:
+                if old_inst in {i.id for i in c.stack}:
                     problems.append(f"instance {old_inst} survived its pass")
-            iterations.append((c.current, bindings_in_scope(c)["x"]))
+            iterations.append((c.stack[-1].id, bindings_in_scope(c)["x"]))
     if c.status != TERMINATED:
         problems.append(f"run ended {c.status}")
     if len(iterations) != 5:
@@ -346,7 +346,7 @@ def test_criterion_6_loop_scope_hygiene(capsys):
         problems.append(f"a binding leaked between iterations: {picks}")
 
     state = c.state_graph()
-    live = set(c.instances)
+    live = {i.id for i in c.stack}
     stale = [
         e.trg
         for e in state.edges.values()
@@ -382,7 +382,7 @@ def test_criterion_7_join_policies_diverge(capsys):
     opt, opt_trace = run(initialize(d, model, "o1", strategy=OPTIMISTIC))
     optimistic_ok = (
         opt.status == ERROR
-        and opt.failed_node == "join"
+        and opt.token_at == "join"
         and opt_trace.steps[-1].outcome == "failed"
     )
     _report(
@@ -390,7 +390,7 @@ def test_criterion_7_join_policies_diverge(capsys):
         7,
         conservative_ok and optimistic_ok,
         f"conservative {cons.status}, optimistic {opt.status} at "
-        f"{opt.failed_node}",
+        f"{opt.token_at}",
     )
 
 
@@ -463,7 +463,7 @@ def test_criterion_9_error_state(tmp_path, capsys):
         and len(token_nodes) == 1
         and attached == []
         and c.status == ERROR
-        and c.failed_node == "second"
+        and c.token_at == "second"
     )
     _report(
         capsys,

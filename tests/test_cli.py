@@ -157,6 +157,26 @@ def test_malformed_model_shapes_exit_three(capsys, tmp_path, shape):
     assert err.startswith("error: ")
 
 
+DEEP = "[" * 100000 + "]" * 100000  # nested past the parser's recursion limit
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "oracle"])
+def test_deeply_nested_json_is_an_input_error(capsys, tmp_path, command):
+    # the diagram of `validate`, the model of `run` and `oracle`
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP)
+    if command == "validate":
+        argv = ["validate", str(deep)]
+    elif command == "run":
+        argv = run_args(STAR, str(deep), tmp_path, "--this", "o0")
+    else:
+        argv = ["oracle", STAR, str(deep), "--this", "o0"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "recursion depth" in err
+
+
 # -- run ---------------------------------------------------------------------
 
 
@@ -259,7 +279,7 @@ def test_a_graph_error_raised_mid_run_is_an_input_error(
     real_step = sdm.interp.step
 
     def step_failing_at_3(c, recorded=None):
-        if c.steps_taken == 2:
+        if len(c.trace) == 2:
             raise GraphError("created id 'x' is already in use")
         return real_step(c, recorded)
 

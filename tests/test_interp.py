@@ -33,7 +33,6 @@ from sdm.interp import (
     RUNNING,
     SEMANTIC_TYPE_GRAPH,
     TERMINATED,
-    Configuration,
     Trace,
     initialize,
     replay_trace,
@@ -61,6 +60,11 @@ def load_diagram(name):
 
 def load_model(name, tg):
     return parse_graph((FIXTURES / name).read_text(encoding="utf-8"), tg)
+
+
+def token_targets(c) -> list[str]:
+    """Where the state graph's `at` edges point: one node, or none once detached."""
+    return [e.trg for e in c.state_graph().edges.values() if e.type == "at"]
 
 
 @pytest.fixture
@@ -121,9 +125,9 @@ def test_initialize_binds_this_and_places_the_token(minimal):
     c = initialize(minimal, model, "o1")
     assert c.status == RUNNING
     assert c.token_at == minimal.classification.first == "story"
-    assert c.token_attached
+    assert token_targets(c) == ["story"]
     assert bindings_in_scope(c) == {"this": "o1"}
-    assert c.current_instance().template == "root"
+    assert [i.template for i in c.stack] == ["root"]
 
 
 def test_initialize_rejects_a_foreign_model(minimal):
@@ -176,12 +180,9 @@ def test_initialize_rejects_bad_strategy_and_order(minimal):
     model = load_model("single.model.json", minimal.tg)
     with pytest.raises(GraphError, match="strategy"):
         initialize(minimal, model, "o1", strategy="eager")
-    with pytest.raises(GraphError, match="match order"):
-        initialize(minimal, model, "o1", match_order="alphabetical")
-    with pytest.raises(GraphError, match="seed"):
-        initialize(minimal, model, "o1", match_order="random")
-    with pytest.raises(GraphError, match="seed"):
-        initialize(minimal, model, "o1", match_order="lex", seed=3)
+    # the order is random exactly when a seed is given
+    assert initialize(minimal, model, "o1").rng is None
+    assert initialize(minimal, model, "o1", seed=3).rng is not None
 
 
 # -- single steps ------------------------------------------------------------
@@ -193,7 +194,7 @@ def test_minimal_diagram_runs_in_two_steps(minimal):
     assert c.status == TERMINATED
     assert [t.outcome for t in trace.steps] == ["matched", "terminated"]
     assert [t.node for t in trace.steps] == ["story", "stop"]
-    assert not c.token_attached
+    assert token_targets(c) == []
 
 
 def test_sequential_failure_reports_the_node_and_detaches(minimal):
@@ -201,12 +202,10 @@ def test_sequential_failure_reports_the_node_and_detaches(minimal):
     model = load_model("single.model.json", d.tg)  # o1 has no follower
     c, trace = run(initialize(d, model, "o1"))
     assert c.status == ERROR
-    assert c.failed_node == "second"
-    assert not c.token_attached
+    assert c.token_at == "second"
     assert trace.steps[-1].outcome == "failed"
     assert trace.steps[-1].match == {}
-    state = c.state_graph()
-    assert not any(e.type == "at" for e in state.edges.values())
+    assert token_targets(c) == []
 
 
 def test_conditional_failure_opens_a_branch_without_touching_the_model(dno):
@@ -217,19 +216,18 @@ def test_conditional_failure_opens_a_branch_without_touching_the_model(dno):
     assert c.status == RUNNING
     assert c.model is before  # nothing matched, nothing rewritten
     assert c.model_rev == 0
-    inst = c.current_instance()
+    root, inst = c.stack
     assert inst.template == "hasTwo:failure"
     assert sorted(inst.bindings) == ["this"]
-    root = c.instances[inst.parent]
     assert inst.bindings["this"].id != root.bindings["this"].id
-    assert inst.bindings["this"].var_node == root.bindings["this"].var_node
+    assert inst.bindings["this"].model_node == root.bindings["this"].model_node
 
 
 def test_conditional_success_binds_fresh_variables_in_the_branch(dno):
     model = load_model("list3.model.json", dno.tg)
     c = initialize(dno, model, "o1")
     step(c)
-    inst = c.current_instance()
+    inst = c.stack[-1]
     assert inst.template == "hasTwo:success"
     assert bindings_in_scope(c) == {
         "this": "o1",
@@ -278,9 +276,7 @@ def test_dno_on_a_list_unlinks_the_middle_object(dno):
         for e in c.model.edges.values()
     )
     # non-joining branch: its scope instance survives termination
-    assert any(
-        i.template == "hasTwo:success" for i in c.instances.values()
-    )
+    assert any(i.template == "hasTwo:success" for i in c.stack)
 
 
 # -- loops and scope hygiene -------------------------------------------------
@@ -322,7 +318,7 @@ def test_loop_iterations_do_not_leak_bindings(while_star):
     assert len(exits) == 6
     assert all(e["removed"] == [] for e in exits)
     state = c.state_graph()
-    live = set(c.instances)
+    live = {i.id for i in c.stack}
     for e in state.edges.values():
         if e.type == "inScope":
             assert e.trg in live  # no binding points at a discarded scope
@@ -380,7 +376,7 @@ def test_optimistic_join_fails_on_the_dangling_adopted_binding(join_policy):
         initialize(join_policy, model, "o1", strategy=OPTIMISTIC)
     )
     assert c.status == ERROR
-    assert c.failed_node == "join"
+    assert c.token_at == "join"
     join = trace.steps[-1]
     assert join.outcome == "failed"
     exit_event = next(
@@ -402,10 +398,10 @@ def test_lex_runs_are_byte_identical(dno):
 def test_seeded_random_runs_are_byte_identical(while_star):
     model = load_model("star5.model.json", while_star.tg)
     _, first = run(
-        initialize(while_star, model, "o0", match_order="random", seed=7)
+        initialize(while_star, model, "o0", seed=7)
     )
     _, second = run(
-        initialize(while_star, model, "o0", match_order="random", seed=7)
+        initialize(while_star, model, "o0", seed=7)
     )
     assert first.to_jsonl() == second.to_jsonl()
     assert first.steps[-1].outcome == "terminated"
@@ -433,10 +429,10 @@ def test_replay_reproduces_the_final_model():
 def test_file_replay_covers_random_order_runs(while_star):
     model = load_model("star5.model.json", while_star.tg)
     c, trace = run(
-        initialize(while_star, model, "o0", match_order="random", seed=11)
+        initialize(while_star, model, "o0", seed=11)
     )
     replayed = replay_trace(
-        initialize(while_star, model, "o0", match_order="random", seed=11),
+        initialize(while_star, model, "o0", seed=11),
         Trace.from_jsonl(trace.to_jsonl()),
     )
     assert replayed.to_dict() == c.model.to_dict()
@@ -489,8 +485,8 @@ def test_trace_files_parse_back_to_the_same_records(diagram_name):
     for model_name in FIXTURE_MODELS:
         model = load_model(model_name, d.tg)
         for this in sorted(model.nodes):
-            for order, seed in (("lex", None), ("random", 7)):
-                c = initialize(d, model, this, match_order=order, seed=seed)
+            for seed in (None, 7):
+                c = initialize(d, model, this, seed=seed)
                 _, trace = run(c, max_steps=200)
                 text = trace.to_jsonl()
                 assert Trace.from_jsonl(text).to_jsonl() == text
@@ -505,10 +501,10 @@ def test_file_replay_follows_the_recorded_parallel_edge(while_star):
     model = graph_from_dict(doc, while_star.tg)
     for seed in range(20):
         for budget in (2, 4, 6):
-            c = initialize(while_star, model, "o0", match_order="random", seed=seed)
+            c = initialize(while_star, model, "o0", seed=seed)
             c, trace = run(c, max_steps=budget)
             replayed = replay_trace(
-                initialize(while_star, model, "o0", match_order="random", seed=seed),
+                initialize(while_star, model, "o0", seed=seed),
                 Trace.from_jsonl(trace.to_jsonl()),
             )
             assert replayed.to_dict() == c.model.to_dict(), (seed, budget)
@@ -533,6 +529,7 @@ def test_file_replay_follows_the_recorded_parallel_edge(while_star):
         '{"step": 1, "node": "n", "outcome": "matched", "match": [], '
         '"constructed": [], "destructed": [], "scope_events": [], '
         '"model_rev": 1, "rule": "r", "edges": {}, "extra": 0}',
+        pytest.param("[" * 100000 + "]" * 100000, id="nested-too-deep"),
     ],
 )
 def test_a_malformed_trace_line_is_a_format_error(while_star, line):
@@ -638,7 +635,7 @@ def _fixture_runs() -> list[tuple]:
             model = load_model(model_name, d.tg)
             for this in sorted(model.nodes):
                 for strategy in (CONSERVATIVE, OPTIMISTIC):
-                    for order in ({}, {"match_order": "random", "seed": 7}):
+                    for order in ({}, {"seed": 7}):
                         kw = {"strategy": strategy, **order}
                         c, trace = run(initialize(d, model, this, **kw), max_steps=200)
                         runs.append((d, model, this, kw, trace.to_jsonl(), c))
@@ -741,8 +738,8 @@ def test_budget_exhaustion_is_reported(while_star):
     model = load_model("star5.model.json", while_star.tg)
     c, trace = run(initialize(while_star, model, "o0"), max_steps=3)
     assert c.status == NONTERMINATING
-    assert c.steps_taken == len(trace.steps) == 3
-    assert c.token_attached  # interrupted, not finished
+    assert len(c.trace) == len(trace.steps) == 3
+    assert token_targets(c) == [c.token_at]  # interrupted, not finished
 
 
 def test_run_rejects_a_nonpositive_budget(minimal):
@@ -859,16 +856,6 @@ def test_runs_are_byte_identical_under_the_reference_matcher(
 STATE_DIGESTS = pathlib.Path(__file__).with_name("state_graph_digests.json")
 
 
-def _linear_variable_for(self, model_node: str) -> str:
-    # the unindexed lookup: scan var_models in creation order
-    for var, target in self.var_models.items():
-        if target == model_node:
-            return var
-    var = self._fresh("v")
-    self.var_models[var] = model_node
-    return var
-
-
 @pytest.mark.parametrize(
     "diagram_name, model_name, this",
     [
@@ -878,30 +865,20 @@ def _linear_variable_for(self, model_node: str) -> str:
         ("join_policy.diagram.json", "list3.model.json", "o1"),
     ],
 )
-def test_variable_index_keeps_state_graph_bytes(
-    monkeypatch, diagram_name, model_name, this
-):
+def test_variable_index_keeps_state_graph_bytes(diagram_name, model_name, this):
     d = load_diagram(diagram_name)
-    model = load_model(model_name, d.tg)
-
-    def state_graphs() -> list[str]:
-        c = initialize(d, model, this)
-        states = [serialize_graph(c.state_graph())]
-        while c.status == RUNNING:
-            step(c)
-            states.append(serialize_graph(c.state_graph()))
-        return states
-
-    indexed = state_graphs()
+    c = initialize(d, load_model(model_name, d.tg), this)
+    states = [serialize_graph(c.state_graph())]
+    while c.status == RUNNING:
+        step(c)
+        states.append(serialize_graph(c.state_graph()))
     digests = json.loads(STATE_DIGESTS.read_text(encoding="utf-8"))
     assert [
-        hashlib.sha256(s.encode()).hexdigest() for s in indexed
+        hashlib.sha256(s.encode()).hexdigest() for s in states
     ] == digests[f"{diagram_name} {model_name} {this}"]
-    monkeypatch.setattr(Configuration, "_variable_for", _linear_variable_for)
-    assert state_graphs() == indexed
 
 
-@pytest.mark.parametrize("order", [{}, {"match_order": "random", "seed": 7}])
+@pytest.mark.parametrize("order", [{}, {"seed": 7}])
 def test_head_steps_keep_the_model_object(while_star, monkeypatch, order):
     # the head's identity rule changes nothing, so its step keeps the very
     # model object; copying the model there instead writes the same bytes
