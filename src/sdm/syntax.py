@@ -401,11 +401,9 @@ def validate_control_flow(g: TypedGraph) -> CfgValidation:
                 # undo: drop created nodes and matched edges, restore a -> b
                 # under the next r#k that no element kept from cur uses
                 drop = {node_map[n] for n in created} | set(edge_map.values())
-                rid = next(
-                    r
-                    for r in (f"r#{k}" for k in restore_counter)
-                    if r in drop or (r not in cur.nodes and r not in cur.edges)
-                )
+                rid = f"r#{next(restore_counter)}"
+                while rid not in drop and (rid in cur.nodes or rid in cur.edges):
+                    rid = f"r#{next(restore_counter)}"
                 restore = Edge(NEXT, node_map["a"], node_map["b"])
                 yield TypedGraph._derive(cur, drop, {}, {rid: restore}), DerivationStep(
                     rule.name,
