@@ -8,7 +8,7 @@ incomplete. Bindings and scopes do not exist at this level, which is
 exactly what makes the comparison against the step interpreter
 interesting: the two semantics agree on all-success runs and diverge
 in documented ways around failures. A rule is applied once per twin
-orbit of its matches, and a condition's one search picks its branch.
+orbit of what its matches touch; a condition's one search picks its branch.
 """
 
 from __future__ import annotations
@@ -188,20 +188,26 @@ def evaluate(expr: DenotExpr, g: TypedGraph, depth: int = DEFAULT_UNROLL_DEPTH) 
 def sem_node(r: Rule, g: TypedGraph) -> SemSet:
     """One pair per match of r in g; {(g,g)} when r is inapplicable.
 
-    Matches whose lhs nodes, in id order, land in the same twin classes
-    differ by an automorphism of g, parallel edges being interchangeable
-    too, so only the first in lex order of each such orbit is applied."""
+    A result depends only on the images of the lhs nodes r touches: those
+    it deletes, the ends of edges it deletes and the preserved ends of
+    edges it creates; fresh ids depend only on g. Take two matches whose
+    touched images, in id order, land in the same twin classes. A
+    permutation of twins, an automorphism of g, maps the first onto a
+    match with the second's touched images, which can differ from the
+    second only in which parallel edges it deletes. So their results are
+    isomorphic, and only the first in lex order of each such orbit is
+    applied. A rule that touches no node is matched once."""
     out = SemSet()
-    matches = find_matches(r, g)
+    touched = r._touched_nodes
+    matches = find_matches(r, g, first=not touched)
     out.matched = bool(matches)
     if not matches:
         out.add(g, g)
         return out
-    rep = {n: twins[0] for twins in twin_classes(g) for n in twins}
-    lhs = r.lhs.node_ids()
+    rep = {n: twins[0] for twins in twin_classes(g) for n in twins} if touched else {}
     orbits: dict[tuple, Match] = {}
     for m in matches:
-        orbits.setdefault(tuple(rep[m.node_map[n]] for n in lhs), m)
+        orbits.setdefault(tuple(rep[m.node_map[n]] for n in touched), m)
     for m in orbits.values():
         out.add(g, apply_rule(r, m, g).result)
     return out

@@ -84,6 +84,13 @@ class Rule:
         self._created_edges = tuple(
             rhs.edges[e] for e in rhs.edge_ids() if e not in edge_image
         )
+        # the lhs nodes whose images decide the result: the deleted ones, the
+        # ends of deleted edges and the preserved ends of created edges
+        pre = {r: l for l, r in mapping.node_map.items()}
+        ends = [(lhs.edges[e].src, lhs.edges[e].trg) for e in self._deleted_edges]
+        ends += [(pre.get(e.src), pre.get(e.trg)) for e in self._created_edges]
+        touched = set(self._deleted_nodes).union(*ends)
+        self._touched_nodes = tuple(n for n in lhs.node_ids() if n in touched)
 
     def deleted_lhs_nodes(self) -> list[str]:
         return list(self._deleted_nodes)

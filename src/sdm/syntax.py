@@ -11,6 +11,7 @@ heads a conditional or a loop.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 import os
@@ -365,7 +366,8 @@ def validate_control_flow(g: TypedGraph) -> CfgValidation:
     that node, which every rule links to `a` through `e1`, is pinned to
     each of them in the rule's search copy (`_inverse_rules`). A rule's
     exact matches are tried in the lexicographic order of the rule's own
-    ids, so the verdict and the witness are those of an unpinned search.
+    ids, so the verdict and the witness are those of an unpinned search;
+    they are yielded as soon as that order is settled, not listed first.
     """
     report = validate_typing(g, SYNTAX_TYPE_GRAPH)
     if not report.ok:
@@ -377,9 +379,15 @@ def validate_control_flow(g: TypedGraph) -> CfgValidation:
     restore_counter = itertools.count(1)
 
     def exact_matches(cur, sig, index, created, wanted, node_ids, edge_ids, copy, ids):
+        # e1 is a -next-> anchor, so an anchor's least next predecessor bounds
+        # its matches' a: a match is yielded once no later bound reaches its a
         anchor = created[0]  # n or c, linked to a through e1
-        found = []
-        for cand in index.get(wanted[anchor], ()):
+        bounds = sorted(
+            (min(e.src for _, e in cur.in_edges(cand) if e.type == NEXT), cand)
+            for cand in index.get(wanted[anchor], ())
+        )
+        found: list = []
+        for (_, cand), (bound, _) in zip(bounds, bounds[1:] + [(None, None)]):
             for copy_map, edge_map in _enumerate_monos(copy, cur, {ids[anchor]: cand}):
                 node_map = {n: copy_map[ids[n]] for n in node_ids}
                 if all(sig[node_map[n]] == wanted[n] for n in created):
@@ -387,9 +395,10 @@ def validate_control_flow(g: TypedGraph) -> CfgValidation:
                         tuple(node_map[n] for n in node_ids),
                         tuple(edge_map[e] for e in edge_ids),
                     )
-                    found.append((key, node_map, edge_map))
-        found.sort(key=lambda m: m[0])
-        return [(node_map, edge_map) for _, node_map, edge_map in found]
+                    heapq.heappush(found, (key, node_map, edge_map))
+            while found and (bound is None or found[0][1]["a"] < bound):
+                _, node_map, edge_map = heapq.heappop(found)
+                yield node_map, edge_map
 
     def reductions(cur: TypedGraph) -> Iterator[tuple[TypedGraph, DerivationStep]]:
         """Every inverse rule application to cur, in search order."""

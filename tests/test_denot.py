@@ -105,6 +105,57 @@ def test_sem_node_agrees_with_direct_rule_application(list_tg):
     assert len(sem) == 2  # cutting either end is the same shape
 
 
+@pytest.fixture
+def sem_calls(monkeypatch) -> dict:
+    """The `first` flag of each match search `sem_node` makes, and its
+    number of rule applications, while the test runs."""
+    calls = {"first": [], "applied": 0}
+
+    def counted_matches(rule, host, first=False):
+        calls["first"].append(first)
+        return find_matches(rule, host, first=first)
+
+    def counted_apply(rule, match, host):
+        calls["applied"] += 1
+        return apply_rule(rule, match, host)
+
+    monkeypatch.setattr(sdm.denot, "find_matches", counted_matches)
+    monkeypatch.setattr(sdm.denot, "apply_rule", counted_apply)
+    return calls
+
+
+def test_sem_node_matches_a_rule_that_only_reads_once(list_tg, sem_calls):
+    g = make_list(list_tg, 5)
+    sem = sem_node(edge_exists_rule(list_tg), g)  # four matches
+    assert sem_calls == {"first": [True], "applied": 1}
+    assert sem.matched and sem.pairs() == [(g, g)]
+
+
+def test_sem_node_keys_orbits_by_the_deleted_node_alone(list_tg, sem_calls):
+    # p is deleted and t only read, so each of the k images of p is applied
+    # once, not each of the k(k-1) placements of (p, t)
+    both = {"p": "Object", "t": "Object"}
+    r = rule_of(list_tg, "drop-p-seeing-t", both, [], {"t": "Object"}, [])
+    k = 5
+    sem = sem_node(r, make_list(list_tg, k))
+    assert sem_calls == {"first": [False], "applied": k}
+    assert len(sem) == 3  # an end, the second node, the middle
+
+
+def test_sem_node_keeps_the_source_of_a_created_edge_in_its_key(
+    list_tg, sem_calls
+):
+    # t gains an edge to a fresh node and p is only read, so each of the
+    # k images of t is applied once
+    both = {"p": "Object", "t": "Object"}
+    grown = {**both, "n": "Object"}
+    r = rule_of(list_tg, "hang-off-t", both, [], grown, [("e", "next", "t", "n")])
+    k = 5
+    sem = sem_node(r, make_list(list_tg, k))
+    assert sem_calls == {"first": [False], "applied": k}
+    assert len(sem) == k  # the list is directed, so no two are alike
+
+
 def _random_sem_rule(rng: random.Random, tg) -> Rule:
     """A rule over tg that deletes, creates, only reads, or carries a NAC."""
     lhs = random_graph(rng, tg, 3, 2)

@@ -201,6 +201,22 @@ def test_validation_keeps_its_search_path_off_the_call_stack():
     assert len(verdict.derivation) == len(chain.nodes) - 3
 
 
+def test_validating_a_chain_costs_a_matcher_call_or_two_per_reduction(monkeypatch):
+    # the first exact match of insert-node succeeds on a chain, and exact
+    # matches are yielded in order without listing the others first
+    calls = []
+    enumerate_monos = sdm.syntax._enumerate_monos
+
+    def counted_monos(pattern, host, forced_nodes):
+        calls.append(host)
+        return enumerate_monos(pattern, host, forced_nodes)
+
+    monkeypatch.setattr(sdm.syntax, "_enumerate_monos", counted_monos)
+    verdict = validate_control_flow(cfg_of_shape("chain", 200).build())
+    assert verdict.ok
+    assert len(calls) <= 2 * len(verdict.derivation)
+
+
 def _shapes_and_mutants(sizes) -> list:
     return [
         grown.build()
@@ -208,6 +224,32 @@ def _shapes_and_mutants(sizes) -> list:
         for size in sizes
         for grown in (cfg_of_shape(shape, size), cfg_of_shape(shape, size).mutate())
     ]
+
+
+def test_validator_orders_loop_heads_by_their_a_not_their_bound():
+    # start -> v2 -> loop v3 (body v0, exit v6) -> v1 -> loop v5 (body v4,
+    # exit v7) -> stop: the heads' least next predecessors are v0 and v1,
+    # but their a are v2 and v1, so the second loop is reduced first
+    g = _small_cfg(
+        ["CFNode"] * 8 + ["StartNode", "StopNode"],
+        [
+            ("next", 8, 2),
+            ("next", 2, 3),
+            ("success", 3, 0),
+            ("next", 0, 3),
+            ("failure", 3, 6),
+            ("next", 6, 1),
+            ("next", 1, 5),
+            ("success", 5, 4),
+            ("next", 4, 5),
+            ("failure", 5, 7),
+            ("next", 7, 9),
+        ],
+    )
+    got, want = validate_control_flow(g), reference_validate_control_flow(g)
+    assert got.ok and got.derivation == want.derivation
+    first = got.derivation[-1]
+    assert (first.a, first.created) == ("v1", {"c": "v5", "f": "v7", "x": "v4"})
 
 
 def test_validation_ignores_insertion_order():
