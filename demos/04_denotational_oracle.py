@@ -1,4 +1,4 @@
-"""Cross-check interpreter runs against the denotational pair semantics.
+"""Cross-check interpreter runs against the denotational semantics.
 
 Run from the repository root:  python3 demos/04_denotational_oracle.py
 """
@@ -29,8 +29,8 @@ def check(diagram_name, model_name, this):
 d, model = check("while_star.diagram.json", "star5.model.json", "o0")
 sem = evaluate(compile_diagram(d), model)
 print(f"  whole-diagram semantics: {sem!r}")
-for g, h in sem.pairs():
-    print(f"  pair: {len(g.edges)} edges in, {len(h.edges)} edges out")
+for h in sem:
+    print(f"  output: {len(h.edges)} edges")
 
 print()
 

@@ -15,7 +15,7 @@ import sys
 from typing import Optional
 
 from .canon import SearchBudgetError
-from .denot import OracleError, cross_check
+from .denot import DEFAULT_MODEL_BOUND, OracleError, cross_check
 from .diagram import DiagramError, load_story_diagram
 from .graph import FormatError, GraphError, parse_graph, serialize_graph
 from .interp import (
@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "oracle", parents=[shared, budget], help="cross-check a run denotationally"
     )
-    p.add_argument("--model-bound", type=_positive_int, default=6)
+    p.add_argument("--model-bound", type=_positive_int, default=DEFAULT_MODEL_BOUND)
 
     return parser
 

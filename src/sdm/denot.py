@@ -1,7 +1,7 @@
 """Denotational semantics of story diagrams as a brute-force oracle.
 
-The meaning of a construct is a finite set of (input, output) graph
-pairs: one pair per rule application chain, with inapplicable rules
+The meaning of a construct at an input graph is the finite set of its
+outputs: one per rule application chain, with inapplicable rules
 passing the graph through unchanged. Conditionals pick their branch by
 applicability, while loops unroll to a bound and admit being
 incomplete. Bindings and scopes do not exist at this level, which is
@@ -39,32 +39,19 @@ class OracleError(GraphError):
     """The oracle refuses the instance (too large, or out of scope)."""
 
 
-class SemSet:
-    """Pairs of (input, output) graphs, deduplicated componentwise.
+class SemSet(IsoSet):
+    """The outputs of a construct on its one input, kept once per
+    isomorphism class.
 
-    Two pairs collide when their inputs are isomorphic and their
-    outputs are isomorphic. `incomplete` records that some while-loop
-    unrolling hit the depth bound, so absence from the set proves
-    nothing. `matched` records, on a set `sem_node` built, that its rule
-    was applicable.
+    `incomplete` records that some while-loop unrolling hit the depth
+    bound, so absence from the set proves nothing. `matched` records, on
+    a set `sem_node` built, that its rule was applicable.
     """
 
     def __init__(self, incomplete: bool = False) -> None:
+        super().__init__()
         self.incomplete = incomplete
         self.matched = False
-        self._pairs = IsoSet()
-
-    def add(self, g: TypedGraph, h: TypedGraph) -> None:
-        self._pairs.add((g, h))
-
-    def contains(self, g: TypedGraph, h: TypedGraph) -> bool:
-        return (g, h) in self._pairs
-
-    def pairs(self) -> list[tuple[TypedGraph, TypedGraph]]:
-        return list(self._pairs)
-
-    def __len__(self) -> int:
-        return len(self._pairs)
 
     def __repr__(self) -> str:
         flag = ", incomplete" if self.incomplete else ""
@@ -146,16 +133,16 @@ def compile_diagram(d: StoryDiagram) -> DenotExpr:
 
 def _compose(left: SemSet, expr: DenotExpr, depth: int) -> SemSet:
     out = SemSet(incomplete=left.incomplete)
-    for g, h in left.pairs():
+    for h in left:
         right = evaluate(expr, h, depth)
         out.incomplete = out.incomplete or right.incomplete
-        for _, h2 in right.pairs():
-            out.add(g, h2)
+        for h2 in right:
+            out.add(h2)
     return out
 
 
 def evaluate(expr: DenotExpr, g: TypedGraph, depth: int = DEFAULT_UNROLL_DEPTH) -> SemSet:
-    """The pair set of expr on input g, unrolling loops at most depth
+    """The output set of expr on input g, unrolling loops at most depth
     times; a loop cut off at that bound marks the set incomplete."""
     if depth < 0:
         raise GraphError("depth must be nonnegative")
@@ -163,12 +150,12 @@ def evaluate(expr: DenotExpr, g: TypedGraph, depth: int = DEFAULT_UNROLL_DEPTH) 
         return sem_node(expr.rule, g)
     if isinstance(expr, SeqExpr):
         out = SemSet()
-        out.add(g, g)
+        out.add(g)
         for part in expr.parts:
             out = _compose(out, part, depth)
         return out
     if isinstance(expr, IfExpr):
-        entry = sem_node(expr.cond, g)  # {(g,g)} when inapplicable
+        entry = sem_node(expr.cond, g)  # {g} when inapplicable
         branch = expr.then if entry.matched else expr.orelse
         return _compose(entry, branch, depth)
     if isinstance(expr, WhileExpr):
@@ -186,7 +173,7 @@ def evaluate(expr: DenotExpr, g: TypedGraph, depth: int = DEFAULT_UNROLL_DEPTH) 
 
 
 def sem_node(r: Rule, g: TypedGraph) -> SemSet:
-    """One pair per match of r in g; {(g,g)} when r is inapplicable.
+    """One output per match of r in g; {g} when r is inapplicable.
 
     A result depends only on the images of the lhs nodes r touches: those
     it deletes, the ends of edges it deletes and the preserved ends of
@@ -202,14 +189,14 @@ def sem_node(r: Rule, g: TypedGraph) -> SemSet:
     matches = find_matches(r, g, first=not touched)
     out.matched = bool(matches)
     if not matches:
-        out.add(g, g)
+        out.add(g)
         return out
     rep = {n: twins[0] for twins in twin_classes(g) for n in twins} if touched else {}
     orbits: dict[tuple, Match] = {}
     for m in matches:
         orbits.setdefault(tuple(rep[m.node_map[n]] for n in touched), m)
     for m in orbits.values():
-        out.add(g, apply_rule(r, m, g).result)
+        out.add(apply_rule(r, m, g).result)
     return out
 
 
@@ -224,7 +211,6 @@ class Verdict:
     pair_checked: bool = False
     pair_found: Optional[bool] = None
     sem_size: int = 0
-    incomplete: bool = False
 
 
 def cross_check(
@@ -233,9 +219,9 @@ def cross_check(
     model_bound: int = DEFAULT_MODEL_BOUND,
 ) -> Verdict:
     """Replay a run from its freshly initialized configuration `c`, and
-    compare it against the denotational pair set.
+    compare it against the denotational semantics at its model.
 
-    All-success runs must produce a pair in the set. A failed
+    An all-success run's final model must be among the outputs. A failed
     sequential invocation and a conditional whose failure was caused
     only by pinned bindings are documented divergences, reported but
     not failures. A trace that `step` does not give back raises
@@ -277,9 +263,8 @@ def cross_check(
 
     sem = evaluate(expr, model, DEFAULT_UNROLL_DEPTH)
     v.sem_size = len(sem)
-    v.incomplete = sem.incomplete
     v.pair_checked = True
-    v.pair_found = sem.contains(model, g)
+    v.pair_found = g in sem
     if v.pair_found:
         v.notes.append("pair is in the composed semantics")
     elif sem.incomplete:

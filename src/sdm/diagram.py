@@ -318,8 +318,8 @@ def validate_binding_marks(d: StoryDiagram) -> ValidationReport:
         changed = False
         for n in sorted(entry):
             contributions = []
-            for e in cfg.edges.values():
-                if e.trg != n or cfg.nodes[e.src] != CF_NODE:
+            for _, e in cfg.in_edges(n):
+                if cfg.nodes[e.src] != CF_NODE:
                     continue
                 if e.type in (NEXT, SUCCESS):
                     out = after_success(e.src, entry[e.src])

@@ -641,70 +641,55 @@ def find_isomorphism(g: TypedGraph, h: TypedGraph) -> Optional[PartialMorphism]:
 
 
 class IsoSet:
-    """Graphs, or tuples of graphs, kept once per isomorphism class.
+    """Graphs kept once per isomorphism class.
 
-    Members are bucketed by `iso_signature`, componentwise for tuples. A
-    lone member matches itself, or a graph equal to it by value, without
-    a key. Once a bucket holds a second graph, its members are also held
-    by `canonical_key`, componentwise, and a graph matches the member with
-    its key over the same type graph. Iteration runs bucket by bucket, in
-    insertion order.
+    Members are bucketed by `iso_signature`. A lone member matches itself,
+    or a graph equal to it by value, without a key. Once a bucket holds a
+    second graph, its members are also held by `canonical_key`, and a
+    graph matches the member with its key over the same type graph.
+    Iteration runs bucket by bucket, in insertion order.
     """
 
     def __init__(self) -> None:
-        self._buckets: dict[tuple, list] = {}
-        self._keyed: dict[tuple, dict[tuple, list]] = {}
+        self._buckets: dict[tuple, list[TypedGraph]] = {}
+        self._keyed: dict[tuple, dict[tuple, list[TypedGraph]]] = {}
         self._size = 0
 
-    def _find(self, item) -> tuple[tuple, Optional[tuple], bool]:
-        # the item's bucket, its keys if they were needed, and whether an
-        # isomorphic member exists
-        parts = _parts(item)
-        signature = tuple([iso_signature(p) for p in parts])
+    def _find(self, g: TypedGraph) -> tuple[tuple, Optional[tuple], bool]:
+        # g's bucket, its key if it was needed, and whether an isomorphic
+        # member exists
+        signature = iso_signature(g)
         bucket = self._buckets.get(signature)
         if not bucket:
             return signature, None, False
-        if len(bucket) == 1 and all(
-            a is b or a == b for a, b in zip(parts, _parts(bucket[0]))
-        ):
+        if len(bucket) == 1 and (bucket[0] is g or bucket[0] == g):
             return signature, None, True
         keyed = self._keyed.get(signature)
         if keyed is None:
             lone = bucket[0]
-            keyed = self._keyed[signature] = {_keys(_parts(lone)): [lone]}
-        keys = _keys(parts)
-        for member in keyed.get(keys, ()):
-            if all(a.tg == b.tg for a, b in zip(parts, _parts(member))):
-                return signature, keys, True
-        return signature, keys, False
+            keyed = self._keyed[signature] = {canonical_key(lone): [lone]}
+        key = canonical_key(g)
+        return signature, key, any(m.tg == g.tg for m in keyed.get(key, ()))
 
-    def add(self, item) -> bool:
-        """Insert item unless an isomorphic member exists; True if inserted."""
-        signature, keys, found = self._find(item)
+    def add(self, g: TypedGraph) -> bool:
+        """Insert g unless an isomorphic member exists; True if inserted."""
+        signature, key, found = self._find(g)
         if not found:
-            self._buckets.setdefault(signature, []).append(item)
-            if keys is not None:
-                self._keyed[signature].setdefault(keys, []).append(item)
+            self._buckets.setdefault(signature, []).append(g)
+            if key is not None:
+                self._keyed[signature].setdefault(key, []).append(g)
             self._size += 1
         return not found
 
-    def __contains__(self, item) -> bool:
-        return self._find(item)[2]
+    def __contains__(self, g: TypedGraph) -> bool:
+        return self._find(g)[2]
 
-    def __iter__(self) -> Iterator:
+    def __iter__(self) -> Iterator[TypedGraph]:
         for bucket in self._buckets.values():
             yield from bucket
 
     def __len__(self) -> int:
         return self._size
-
-
-def _parts(item) -> tuple:
-    return (item,) if isinstance(item, TypedGraph) else item
-
-
-def _keys(parts: tuple) -> tuple:
-    return tuple([canonical_key(p) for p in parts])
 
 
 def serialize_graph(g: TypedGraph) -> str:

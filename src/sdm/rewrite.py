@@ -255,9 +255,9 @@ def enumerate_language(grammar: GraphGrammar, max_nodes: int) -> LanguageResult:
     when some rule shrinks node counts; that case is recorded as a
     warning in the result. Matches are injective, so every application
     of a rule changes the node count by the same amount, and a rule
-    whose results would all be pruned is not matched at all. NAC-free
-    rules with equal left-hand sides share one match search per graph,
-    each still taking every match in lexicographic order.
+    whose results would all be pruned is not matched at all. Rules with
+    equal left-hand sides share one match search per graph, each still
+    taking every match its NACs allow, in lexicographic order.
     """
     if max_nodes < len(grammar.start.nodes):
         raise GraphError("max_nodes is below the start graph's node count")
@@ -271,16 +271,13 @@ def enumerate_language(grammar: GraphGrammar, max_nodes: int) -> LanguageResult:
     members = IsoSet()
     members.add(grammar.start)
     frontier = [grammar.start]
-    sides: list[TypedGraph] = []  # the distinct left-hand sides of NAC-free rules
+    sides: list[TypedGraph] = []  # the distinct left-hand sides
     rules = []
     for rule in sorted(grammar.rules, key=lambda r: r.name):
-        side = None
-        if not rule.nacs:
-            if rule.lhs not in sides:
-                sides.append(rule.lhs)
-            side = sides.index(rule.lhs)
+        if rule.lhs not in sides:
+            sides.append(rule.lhs)
         growth = len(rule.created_rhs_nodes()) - len(rule.deleted_lhs_nodes())
-        rules.append((rule, growth, side))
+        rules.append((rule, growth, sides.index(rule.lhs)))
     while frontier:
         next_frontier: list[TypedGraph] = []
         for g in frontier:
@@ -288,16 +285,12 @@ def enumerate_language(grammar: GraphGrammar, max_nodes: int) -> LanguageResult:
             for rule, growth, side in rules:
                 if len(g.nodes) + growth > max_nodes:
                     continue
-                if side is None:
-                    matches = find_matches(rule, g)
-                else:
-                    if side not in found:
-                        found[side] = list(_enumerate_monos(sides[side], g, {}))
-                    matches = [
-                        Match(rule, node_map, edge_map, g)
-                        for node_map, edge_map in found[side]
-                    ]
-                for match in matches:
+                if side not in found:
+                    found[side] = list(_enumerate_monos(sides[side], g, {}))
+                for node_map, edge_map in found[side]:
+                    match = Match(rule, node_map, edge_map, g)
+                    if not all(check_nac(nac, match) for nac in rule.nacs):
+                        continue
                     h = apply_rule(rule, match, g).result
                     if len(h.nodes) <= max_nodes and members.add(h):
                         next_frontier.append(h)

@@ -498,16 +498,14 @@ def reference_enumerate_language(grammar: GraphGrammar, max_nodes: int) -> Langu
     return LanguageResult(graphs, None, warnings)
 
 
-def reference_sem_node(
-    rule: Rule, g: TypedGraph
-) -> list[tuple[TypedGraph, TypedGraph]]:
-    """`sem_node`'s pairs from every match: each result in lex match order
-    is kept unless a kept one is isomorphic to it by brute force. They are
-    listed as a `SemSet` lists them: grouped by signature, groups in order
-    of first arrival."""
+def reference_sem_node(rule: Rule, g: TypedGraph) -> list[TypedGraph]:
+    """`sem_node`'s outputs from every match: each result in lex match
+    order is kept unless a kept one is isomorphic to it by brute force.
+    They are listed as a `SemSet` lists them: grouped by signature, groups
+    in order of first arrival."""
     matches = find_matches(rule, g)
     if not matches:
-        return [(g, g)]
+        return [g]
     kept: list[TypedGraph] = []
     for match in matches:
         h = apply_rule(rule, match, g).result
@@ -520,7 +518,7 @@ def reference_sem_node(
     first: dict[tuple, int] = {}
     for i, h in enumerate(kept):
         first.setdefault(iso_signature(h), i)
-    return [(g, h) for h in sorted(kept, key=lambda h: first[iso_signature(h)])]
+    return sorted(kept, key=lambda h: first[iso_signature(h)])
 
 
 def reference_classify_nodes(g: TypedGraph) -> NodeClassification:

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import sdm.canon
 import sdm.graph
 from sdm.cli import main
-from sdm.denot import SemSet
 from sdm.diagram import DiagramError, load_story_diagram
 from sdm.graph import (
     Edge,
@@ -288,12 +287,6 @@ def test_cycles_the_signature_cannot_separate(one, many):
     assert not members.add(turned) and not members.add(_cycles(tg, many, turn=2))
     assert len(members) == 2 and list(members) == [ring, rings]
 
-    sem = SemSet()
-    sem.add(ring, ring)
-    assert sem.contains(turned, ring) and sem.contains(ring, turned)
-    assert not sem.contains(rings, ring)
-    assert not sem.contains(ring, rings)
-
 
 def test_isoset_matches_equal_values_without_a_search(monkeypatch):
     def no_search(*args):
@@ -307,9 +300,6 @@ def test_isoset_matches_equal_values_without_a_search(monkeypatch):
     assert members.add(g)
     assert copy in members and not members.add(copy)
     assert list(members) == [g]
-    sem = SemSet()
-    sem.add(g, g)
-    assert sem.contains(copy, make_list(tg, 3))
 
 
 def _union(*parts: TypedGraph) -> TypedGraph:

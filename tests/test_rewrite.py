@@ -736,6 +736,29 @@ def test_enumeration_skips_only_rules_past_the_bound(bound):
     assert got.warnings == want.warnings
 
 
+def test_enumeration_honours_nacs():
+    # append only at a node with no successor yet, so the trees are chains
+    tg = linked_list_tg()
+    append = _append_rule(tg)
+    nac_graph = (
+        GraphBuilder(tg)
+        .node("x", "Object")
+        .node("w", "Object")
+        .edge("xw", "next", "x", "w")
+        .build()
+    )
+    nac = NAC(nac_graph, PartialMorphism(append.lhs, nac_graph, {"x": "x"}, {}))
+    rule = Rule("append-last", append.lhs, append.rhs, append.mapping, (nac,))
+    start = GraphBuilder(tg).node("o1", "Object").build()
+    grammar = GraphGrammar(start, (rule,))
+    got = enumerate_language(grammar, 4)
+    want = reference_enumerate_language(grammar, 4)
+    assert [g.to_dict() for g in got.graphs] == [g.to_dict() for g in want.graphs]
+    # chains of 1..4 nodes, where ignoring the NAC gives 8 rooted trees
+    assert [find_isomorphism(g, make_list(tg, n)) is not None
+            for n, g in enumerate(got.graphs, 1)] == [True] * 4
+
+
 def test_enumerate_is_deterministic():
     tg = linked_list_tg()
     start = GraphBuilder(tg).node("o1", "Object").build()
